@@ -95,7 +95,7 @@ def parse_functions_file(path) -> BoundarySet:
     return BoundarySet(canonical.times[1:])
 
 
-def write_functions_file(path, boundaries: BoundarySet, labels=None) -> None:
+def write_functions_file(path, boundaries: BoundarySet) -> None:
     """Write boundaries in the annotation format, prefixed with a 0.0 start line.
 
     Parsing the result recovers ``boundaries`` exactly (the synthetic start
@@ -103,8 +103,7 @@ def write_functions_file(path, boundaries: BoundarySet, labels=None) -> None:
     """
     lines = ["0.0\tstart"]
     for i, t in enumerate(boundaries):
-        label = labels[i] if labels else f"segment{i + 1}"
-        lines.append(f"{float(t)!r}\t{label}")
+        lines.append(f"{float(t)!r}\tsegment{i + 1}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -28,10 +28,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CompatibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (CompatibilityError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -212,6 +209,8 @@ def cmd_train(args) -> int:
         return 2
     split = ann.load_split_manifest(args.split)
     train_set = _load_examples(split.train, features_dir, refs_dir, run)
+    if not train_set:
+        raise ValueError(f"{args.split}: the split has no train tracks")
     val_set = _load_examples(split.validation, features_dir, refs_dir, run)
 
     model = BoundaryNet(input_height=train_set[0].inputs.shape[0],

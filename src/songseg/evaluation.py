@@ -108,10 +108,9 @@ def score_corpus(pairs, tolerance: float, beta: float = 1.0) -> ScoreReport:
     )
 
 
-def report_csv_lines(report: ScoreReport, track_ids=None) -> list:
+def report_csv_lines(report: ScoreReport, track_ids) -> list:
     lines = ["track,precision,recall,f_beta"]
-    for i, (p, r, f) in enumerate(report.per_track):
-        tid = track_ids[i] if track_ids else f"track{i:03d}"
+    for tid, (p, r, f) in zip(track_ids, report.per_track):
         lines.append(f"{tid},{p:.6f},{r:.6f},{f:.6f}")
     lines.append(f"mean,{report.mean_precision:.6f},"
                  f"{report.mean_recall:.6f},{report.mean_f:.6f}")

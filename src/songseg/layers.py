@@ -140,7 +140,8 @@ def collapse_freq_backward(grad_out, cache):
     return np.asarray(grad_out, dtype=np.float64).reshape(1, c, h, w)
 
 
-def _sigmoid(z):
+def sigmoid(z):
+    """Logistic function, overflow-free for either sign of ``z``."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -163,5 +164,5 @@ def bce_with_logits(logits, targets):
         raise ValueError("targets must lie in [0, 1]")
     per_frame = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     loss = float(per_frame.mean())
-    grad = (_sigmoid(z) - y) / z.size
+    grad = (sigmoid(z) - y) / z.size
     return loss, grad

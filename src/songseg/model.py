@@ -145,12 +145,3 @@ class BoundaryNet:
                     f"expected {self.params[name].shape}"
                 )
             self.params[name] = params[name].astype(np.float32, copy=True)
-
-
-def stack_input_matrices(matrices) -> np.ndarray:
-    """Concatenate finalized feature matrices along the bin (height) axis."""
-    arrays = [np.asarray(m.values if hasattr(m, "values") else m) for m in matrices]
-    widths = {a.shape[1] for a in arrays}
-    if len(widths) > 1:
-        raise ValueError(f"input matrices disagree on frame count: {sorted(widths)}")
-    return np.vstack(arrays)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
 
@@ -120,17 +120,10 @@ class RunConfig:
 
     def canonical_lines(self) -> list:
         """Deterministic ``key = value`` rendering of the full configuration."""
-        items = {}
-        for f in fields(self.params):
-            items[f.name] = getattr(self.params, f.name)
-        items["pooling"] = self.pooling
-        items["include_mls"] = self.include_mls
-        items["sslm_inputs"] = ",".join(self.input_names()[1:] if self.include_mls
-                                        else self.input_names())
-        items["epochs"] = self.epochs
-        items["seed"] = self.seed
-        items["split_seed"] = self.split_seed
-        items["threshold"] = self.threshold
+        items = {f.name: getattr(self.params, f.name) for f in fields(self.params)}
+        items.update((f.name, getattr(self, f.name)) for f in _RUN_FIELDS)
+        items["sslm_inputs"] = ",".join(v for v in SSLM_VARIANTS
+                                        if v in self.sslm_inputs)
         return [f"{k} = {_render(v)}" for k, v in sorted(items.items())]
 
     def pipeline_hash(self) -> str:
@@ -164,28 +157,20 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
-        pp_kwargs = {}
-        for f in fields(PipelineParams):
-            if f.name in raw:
-                pp_kwargs[f.name] = _parse(raw[f.name], f.type)
-        params = PipelineParams(**pp_kwargs)
-        kwargs = {"params": params}
-        if "pooling" in raw:
-            kwargs["pooling"] = raw["pooling"]
-        if "include_mls" in raw:
-            kwargs["include_mls"] = _parse(raw["include_mls"], "bool")
-        if "sslm_inputs" in raw:
-            value = raw["sslm_inputs"].strip()
-            kwargs["sslm_inputs"] = tuple(s.strip() for s in value.split(",") if s.strip())
-        for key in ("epochs", "seed", "split_seed"):
-            if key in raw:
-                kwargs[key] = _parse(raw[key], "int")
-        if "threshold" in raw:
-            kwargs["threshold"] = _parse(raw["threshold"], "float")
-        return cls(**kwargs)
+        """Parse ``canonical_lines`` keys; an unknown key raises FormatError."""
+        pp_types = {f.name: f.type for f in fields(PipelineParams)}
+        run_types = {f.name: f.type for f in _RUN_FIELDS}
+        unknown = sorted(set(raw) - pp_types.keys() - run_types.keys())
+        if unknown:
+            raise FormatError(f"unknown config key(s): {', '.join(unknown)}")
+        params = PipelineParams(**{k: _parse(v, pp_types[k])
+                                   for k, v in raw.items() if k in pp_types})
+        return cls(params=params, **{k: _parse(v, run_types[k])
+                                     for k, v in raw.items() if k in run_types})
 
-    def with_params(self, **changes) -> "RunConfig":
-        return replace(self, params=replace(self.params, **changes))
+
+# RunConfig fields other than the nested ``params``.
+_RUN_FIELDS = [f for f in fields(RunConfig) if f.name != "params"]
 
 
 def _render(value) -> str:
@@ -207,6 +192,8 @@ def _parse(text: str, type_name: str):
         return int(text)
     if type_name == "float":
         return float(text)
+    if type_name == "tuple":
+        return tuple(s.strip() for s in text.split(",") if s.strip())
     return text
 
 

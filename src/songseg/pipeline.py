@@ -12,6 +12,7 @@ import hashlib
 import os
 
 from .audio import AudioBuffer, read_wav, resample
+from .errors import CompatibilityError
 from .params import RunConfig
 from .spectral import max_pool_time, mel_log_spectrogram
 from .sslm import SslmConfig, align_frames, compute_sslm, finalize_input
@@ -86,8 +87,7 @@ def extract_track_features(wav_path, out_dir, run: RunConfig,
              for name in run.input_names()]
 
     if not force and os.path.exists(meta_path) and all(map(os.path.exists, paths)):
-        with open(meta_path, encoding="utf-8") as fh:
-            stored = dict(line.strip().split("\t", 1) for line in fh if "\t" in line)
+        stored = _read_meta(meta_path)
         if (stored.get("pipeline_hash") == pipeline_hash
                 and stored.get("audio_sha256") == audio_hash):
             return paths
@@ -104,15 +104,29 @@ def extract_track_features(wav_path, out_dir, run: RunConfig,
     return paths
 
 
+def _read_meta(meta_path) -> dict:
+    """The ``key<TAB>value`` entries of a track's ``.meta`` sidecar."""
+    with open(meta_path, encoding="utf-8") as fh:
+        return dict(line.strip().split("\t", 1) for line in fh if "\t" in line)
+
+
 def load_track_input(features_dir, track_id: str, run: RunConfig):
     """Load and stack a track's matrices in canonical input order.
 
-    Returns ``(stacked_2d_array, frame_rate, pad_frames)``.
+    Returns ``(stacked_2d_array, frame_rate, pad_frames)``.  The track's
+    ``.meta`` sidecar must exist (else :class:`FileNotFoundError`) and carry
+    ``run``'s pipeline hash (else :class:`CompatibilityError`), so matrices
+    extracted under another configuration are never loaded.
     """
     import numpy as np
 
     from .serialize import load_matrix
 
+    stored = _read_meta(os.path.join(features_dir, f"{track_id}.meta"))
+    if stored.get("pipeline_hash") != run.pipeline_hash():
+        raise CompatibilityError(
+            f"track {track_id!r}: features in {features_dir} were extracted "
+            "under a different pipeline configuration; re-run 'songseg features'")
     arrays = []
     pad_frames = run.params.final_pad
     for name in run.input_names():
@@ -128,17 +142,3 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
         raise ValueError(f"track {track_id!r}: matrices disagree on frames")
     stacked = np.vstack(arrays)
     return stacked, run.params.frame_rate, pad_frames
-
-
-def input_height_for(run: RunConfig) -> int:
-    """Total stacked input height for a run configuration.
-
-    The mel spectrogram contributes ``n_mels`` rows; each lag matrix
-    contributes its lag-bin count, which depends on the pooling strategy.
-    """
-    height = run.params.n_mels if run.include_mls else 0
-    p_pre = (run.params.pool_single if run.pooling == "pool6"
-             else run.params.pool_pre)
-    lag_bins = run.params.lag_frames // p_pre
-    height += lag_bins * len([n for n in run.input_names() if n != "mls"])
-    return height

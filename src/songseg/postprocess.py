@@ -14,6 +14,7 @@ import numpy as np
 
 from .annotations import BoundarySet
 from .evaluation import score_corpus
+from .layers import sigmoid
 
 SUPPRESSION_SECONDS = 6.0
 SWEEP_STEP = 0.005
@@ -29,12 +30,7 @@ class PredictionCurve:
 
 
 def from_logits(logits, frame_rate: float, pad_frames: int) -> PredictionCurve:
-    z = np.asarray(logits, dtype=np.float64)
-    probs = np.empty_like(z)
-    pos = z >= 0
-    probs[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    probs[~pos] = ez / (1.0 + ez)
+    probs = sigmoid(np.asarray(logits, dtype=np.float64))
     return PredictionCurve(probs=probs, frame_rate=frame_rate, pad_frames=pad_frames)
 
 
@@ -88,8 +84,7 @@ class SweepRow:
     f_score: float
 
 
-def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0,
-                    step: float = SWEEP_STEP):
+def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
     """Score every threshold on a grid over [0, 1] and return the optimum.
 
     ``pairs`` is a list of ``(PredictionCurve, BoundarySet)`` items.  Returns
@@ -98,11 +93,11 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0,
     """
     if not pairs:
         raise ValueError("need at least one (curve, reference) pair")
-    n_steps = int(round(1.0 / step))
+    n_steps = int(round(1.0 / SWEEP_STEP))
     rows = []
     best_threshold, best_f = 0.0, -1.0
     for i in range(n_steps + 1):
-        threshold = i * step
+        threshold = i * SWEEP_STEP
         scored = [(ref, pick_peaks(curve, threshold)) for curve, ref in pairs]
         report = score_corpus(scored, tolerance=tolerance, beta=beta)
         rows.append(SweepRow(threshold, report.mean_precision,

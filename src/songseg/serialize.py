@@ -37,7 +37,8 @@ def save_matrix(m: FeatureMatrix, path) -> None:
         fh.write(values.tobytes())
 
 
-def load_matrix(path, kind: str = "net_input") -> FeatureMatrix:
+def load_matrix(path) -> FeatureMatrix:
+    """Read a matrix file; the result has kind ``net_input``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MATRIX_MAGIC) + 28:
@@ -56,7 +57,7 @@ def load_matrix(path, kind: str = "net_input") -> FeatureMatrix:
     values = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
     return FeatureMatrix(values=values, hop_seconds=hop_seconds,
                          pool_factor=pool_factor, pad_frames=pad_frames,
-                         kind=kind)
+                         kind="net_input")
 
 
 def _pack_tensor(name: str, array: np.ndarray) -> bytes:
@@ -87,9 +88,6 @@ class _Reader:
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
 
 
 def save_checkpoint(model: BoundaryNet, adam: AdamState, path,

@@ -16,7 +16,7 @@ from .audio import AudioBuffer
 from .errors import InputTooShortError
 from .params import PipelineParams
 
-FEATURE_KINDS = ("stft_mag", "mls", "chroma", "lag_features", "sslm", "net_input")
+FEATURE_KINDS = ("stft_mag", "mls", "chroma", "sslm", "net_input")
 
 
 @dataclass
@@ -86,14 +86,6 @@ def mel_filterbank(params: PipelineParams) -> np.ndarray:
     rising = (bin_freqs[None, :] - lower) / (center - lower)
     falling = (upper - bin_freqs[None, :]) / (upper - center)
     return np.clip(np.minimum(rising, falling), 0.0, None)
-
-
-def mel_filter_centers(params: PipelineParams) -> np.ndarray:
-    """Center frequency in Hz of each mel filter."""
-    edges = mel_to_hz(
-        np.linspace(hz_to_mel(params.fmin), hz_to_mel(params.fmax), params.n_mels + 2)
-    )
-    return edges[1:-1]
 
 
 def hz_to_mel(f):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .audio import AudioBuffer
 from .errors import InputTooShortError
+from .layers import sigmoid
 from .params import PipelineParams
 from .spectral import (
     FeatureMatrix,
@@ -44,6 +45,9 @@ EPSILON_MIN = 1e-9
 RATIO_LARGE = 50.0
 
 VARIANCE_FLOOR = 1e-12
+
+# Voss-McCartney generator count for the pink-noise padding.
+PINK_GENERATORS = 16
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,6 @@ class LagFeatureSeries:
     """Per-frame feature vectors feeding the distance stage."""
 
     vectors: np.ndarray  # (dim, frames)
-    origin: str          # "dct_of_mls" or "chroma_of_stft"
-    stacking: int = 1
 
     @property
     def n_frames(self) -> int:
@@ -120,14 +122,13 @@ def dct_features(mls_frames: FeatureMatrix) -> LagFeatureSeries:
     if mls_frames.kind != "mls":
         raise ValueError(f"DCT features expect mls input, got {mls_frames.kind!r}")
     basis = dct_basis(mls_frames.n_bins)
-    return LagFeatureSeries(vectors=basis @ mls_frames.values, origin="dct_of_mls")
+    return LagFeatureSeries(vectors=basis @ mls_frames.values)
 
 
 def chroma_features(chroma: FeatureMatrix) -> LagFeatureSeries:
     if chroma.kind != "chroma":
         raise ValueError(f"expected chroma input, got {chroma.kind!r}")
-    return LagFeatureSeries(vectors=np.asarray(chroma.values, dtype=np.float64),
-                            origin="chroma_of_stft")
+    return LagFeatureSeries(vectors=np.asarray(chroma.values, dtype=np.float64))
 
 
 def stack_frames(series: LagFeatureSeries, m: int) -> LagFeatureSeries:
@@ -142,28 +143,7 @@ def stack_frames(series: LagFeatureSeries, m: int) -> LagFeatureSeries:
     v = series.vectors
     n_out = max(v.shape[1] - m, 0)
     stacked = np.vstack([v[:, :n_out], v[:, m : m + n_out]])
-    return LagFeatureSeries(vectors=stacked, origin=series.origin, stacking=m)
-
-
-def distance(u, v, metric: str) -> float:
-    """Distance between two equal-length vectors.
-
-    Cosine distance of any zero vector is defined as 0 so that constant
-    (pad) frames never produce NaN.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError("vectors must have equal length")
-    if metric == "euclidean":
-        return float(np.linalg.norm(u - v))
-    if metric == "cosine":
-        nu = np.linalg.norm(u)
-        nv = np.linalg.norm(v)
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        return float(1.0 - (u @ v) / (nu * nv))
-    raise ValueError(f"unknown metric {metric!r}")
+    return LagFeatureSeries(vectors=stacked)
 
 
 def lag_distances(series: LagFeatureSeries, lag_bins: int, metric: str) -> np.ndarray:
@@ -172,7 +152,8 @@ def lag_distances(series: LagFeatureSeries, lag_bins: int, metric: str) -> np.nd
     Returns ``D`` of shape ``(frames, lag_bins)`` with
     ``D[i, l-1] = distance(v_i, v_{i-l})``.  References before the first
     frame clamp to frame 0, which lies inside the noise-floor pad whenever
-    the series was padded.
+    the series was padded.  Cosine distance involving a zero vector is
+    defined as 0 so that constant (pad) frames never produce NaN.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -222,15 +203,6 @@ def equalize(d: np.ndarray, kappa: float) -> np.ndarray:
     return eps
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def recurrence(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Sigmoid of one minus the equalized distance ratio.
 
@@ -246,7 +218,7 @@ def recurrence(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
     ratio[ok] = np.minimum(d[ok] / eps[ok], RATIO_LARGE)
     degenerate = ~ok
     ratio[degenerate] = np.where(d[degenerate] < EPSILON_MIN, 0.0, RATIO_LARGE)
-    r = _sigmoid(1.0 - ratio)
+    r = sigmoid(1.0 - ratio)
     return np.nan_to_num(r, nan=0.0)
 
 
@@ -288,7 +260,7 @@ def compute_sslm(audio: AudioBuffer, config: SslmConfig) -> FeatureMatrix:
     return out
 
 
-def pink_noise(n: int, rng: np.random.Generator, generators: int = 16) -> np.ndarray:
+def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
     """Voss-McCartney pink noise: summed generators updated at halving rates.
 
     At step ``i`` the generator indexed by the number of trailing zero bits
@@ -296,12 +268,12 @@ def pink_noise(n: int, rng: np.random.Generator, generators: int = 16) -> np.nda
     """
     if n <= 0:
         return np.zeros(0)
-    held = rng.standard_normal(generators)
+    held = rng.standard_normal(PINK_GENERATORS)
     total = held.sum()
     out = np.empty(n)
     out[0] = total
     for i in range(1, n):
-        k = min((i & -i).bit_length() - 1, generators - 1)
+        k = min((i & -i).bit_length() - 1, PINK_GENERATORS - 1)
         total -= held[k]
         held[k] = rng.standard_normal()
         total += held[k]

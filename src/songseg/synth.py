@@ -149,9 +149,3 @@ def synth_corpus(
             )
         )
     return tracks
-
-
-def boundaries_from_specs(specs) -> BoundarySet:
-    """Reconstruct junction times as the prefix sum of segment durations."""
-    durations = [d for d, _ in specs]
-    return BoundarySet(np.cumsum(durations)[:-1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,20 +47,18 @@ class TrainResult:
     best_val_loss: float
 
 
-def _split_metrics(model, examples, threshold, tolerance):
-    losses = []
-    scores = []
-    for ex in examples:
-        logits = model.forward(ex.inputs)
-        loss, _ = bce_with_logits(logits, ex.target.values)
-        losses.append(loss)
-        curve = from_logits(logits, ex.target.frame_rate, ex.target.pad_frames)
-        est = pick_peaks(curve, threshold)
-        scores.append(prf(match_boundaries(ex.boundaries, est, tolerance)))
+def _score(ex, logits, threshold, tolerance):
+    """Precision, recall and F1 of the peaks picked from one logit curve."""
+    curve = from_logits(logits, ex.target.frame_rate, ex.target.pad_frames)
+    est = pick_peaks(curve, threshold)
+    return prf(match_boundaries(ex.boundaries, est, tolerance))
+
+
+def _epoch_stats(epoch, split, losses, scores) -> EpochStats:
+    """Mean loss and mean per-track precision/recall/F1 of one split."""
     arr = np.asarray(scores, dtype=np.float64)
-    return float(np.mean(losses)), (float(arr[:, 0].mean()),
-                                    float(arr[:, 1].mean()),
-                                    float(arr[:, 2].mean()))
+    return EpochStats(epoch, split, float(np.mean(losses)),
+                      *(float(arr[:, i].mean()) for i in range(3)))
 
 
 def train(
@@ -87,7 +86,7 @@ def train(
     adam = init_adam(model.params, lr=lr)
     log = []
     best_params = model.copy_params()
-    best_adam = _copy_adam(adam)
+    best_adam = copy.deepcopy(adam)
     best_epoch = 0
     best_val_loss = np.inf
 
@@ -109,41 +108,26 @@ def train(
             epoch_losses.append(loss)
             # score the step's own forward pass rather than re-running the
             # whole split after the epoch
-            curve = from_logits(logits, ex.target.frame_rate,
-                                ex.target.pad_frames)
-            est = pick_peaks(curve, threshold)
-            step_scores.append(prf(match_boundaries(ex.boundaries, est,
-                                                    tolerance)))
+            step_scores.append(_score(ex, logits, threshold, tolerance))
 
-        scores = np.asarray(step_scores, dtype=np.float64)
-        train_loss = float(np.mean(epoch_losses))
-        log.append(EpochStats(epoch, "train", train_loss,
-                              float(scores[:, 0].mean()),
-                              float(scores[:, 1].mean()),
-                              float(scores[:, 2].mean())))
-        monitored = train_loss
+        log.append(_epoch_stats(epoch, "train", epoch_losses, step_scores))
         if val_set:
-            val_loss, (vp, vr, vf) = _split_metrics(
-                model, val_set, threshold, tolerance)
-            log.append(EpochStats(epoch, "val", val_loss, vp, vr, vf))
-            monitored = val_loss
+            val_losses, val_scores = [], []
+            for ex in val_set:
+                logits = model.forward(ex.inputs)
+                val_losses.append(bce_with_logits(logits, ex.target.values)[0])
+                val_scores.append(_score(ex, logits, threshold, tolerance))
+            log.append(_epoch_stats(epoch, "val", val_losses, val_scores))
+        monitored = log[-1].loss
         if monitored < best_val_loss:
             best_val_loss = monitored
             best_epoch = epoch
             best_params = model.copy_params()
-            best_adam = _copy_adam(adam)
+            best_adam = copy.deepcopy(adam)
 
     return TrainResult(model=model, adam=adam, log=log,
                        best_params=best_params, best_adam=best_adam,
                        best_epoch=best_epoch, best_val_loss=float(best_val_loss))
-
-
-def _copy_adam(adam: AdamState) -> AdamState:
-    out = AdamState(lr=adam.lr, beta1=adam.beta1, beta2=adam.beta2,
-                    eps=adam.eps, t=adam.t)
-    out.m = {k: v.copy() for k, v in adam.m.items()}
-    out.v = {k: v.copy() for k, v in adam.v.items()}
-    return out
 
 
 def write_log_csv(path, log) -> None:

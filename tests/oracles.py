@@ -1,5 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
+Imports are absolute (``songseg.``) and the module avoids postponed
+annotations, so it also works when loaded by file path without being
+registered in ``sys.modules``.
+
 Everything here recomputes a production quantity through a different route:
 definitional DFT/DCT summations, the full self-similarity matrix with lag
 extraction (instead of direct per-lag distances), sort-and-interpolate
@@ -7,8 +11,6 @@ quantiles, scipy distance/sigmoid primitives, central finite differences,
 and exhaustive boundary matching.  None of it shares code with the
 production paths it checks.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
@@ -228,15 +230,15 @@ def _report(case_id, analytic, reference, tolerance, relative=False) -> OracleRe
 
 def oracle_suite(seed: int = 0) -> list:
     """Run every registered oracle-vs-implementation comparison."""
-    from .audio import AudioBuffer
-    from .layers import (bce_with_logits, conv2d_backward, conv2d_forward,
-                         maxpool2d_backward, maxpool2d_forward)
-    from .params import PipelineParams
-    from .spectral import FeatureMatrix, stft_magnitude
-    from .sslm import (SslmConfig, compute_sslm, dct_features, equalize,
-                       lag_distances, LagFeatureSeries)
-    from .evaluation import match_boundaries
-    from .annotations import BoundarySet
+    from songseg.audio import AudioBuffer
+    from songseg.layers import (bce_with_logits, conv2d_backward, conv2d_forward,
+                                maxpool2d_backward, maxpool2d_forward)
+    from songseg.params import PipelineParams
+    from songseg.spectral import FeatureMatrix, stft_magnitude
+    from songseg.sslm import (SslmConfig, compute_sslm, dct_features, equalize,
+                              lag_distances, LagFeatureSeries)
+    from songseg.evaluation import match_boundaries
+    from songseg.annotations import BoundarySet
 
     rng = np.random.default_rng(seed)
     params = PipelineParams()
@@ -260,7 +262,7 @@ def oracle_suite(seed: int = 0) -> list:
                            1e-9))
 
     # Per-lag distances vs the full-SSM route.
-    series = LagFeatureSeries(vectors=rng.standard_normal((6, 10)), origin="dct_of_mls")
+    series = LagFeatureSeries(vectors=rng.standard_normal((6, 10)))
     for metric in ("euclidean", "cosine"):
         got = lag_distances(series, 3, metric)
         ref = causal_lag_view(pairwise_ssm(series.vectors, metric), 3)
@@ -355,9 +357,9 @@ def front_end_series(audio, config):
     Shared input for comparing the production lag path against the
     full-SSM route; the comparison replaces everything downstream of it.
     """
-    from .spectral import chroma_project, max_pool_time, mel_log_spectrogram, \
+    from songseg.spectral import chroma_project, max_pool_time, mel_log_spectrogram, \
         stft_magnitude
-    from .sslm import chroma_features, dct_features, pad_noise_floor, stack_frames
+    from songseg.sslm import chroma_features, dct_features, pad_noise_floor, stack_frames
 
     p = config.params
     if config.feature == "mfcc":

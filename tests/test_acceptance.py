@@ -17,9 +17,6 @@ from songseg.layers import (bce_with_logits, collapse_freq_backward,
                             leaky_relu_forward, maxpool2d_backward,
                             maxpool2d_forward)
 from songseg.model import CONV1, CONV2, CONV3, CONV4, POOL, BoundaryNet
-from songseg.oracles import (exhaustive_match_count, finite_difference,
-                             finite_difference_at, front_end_series,
-                             relative_error, sslm_via_ssm)
 from songseg.params import (DEFAULT_MLS_THRESHOLD, PipelineParams, RunConfig)
 from songseg.pipeline import extract_inputs
 from songseg.postprocess import from_logits, pick_peaks, sweep_threshold
@@ -27,6 +24,10 @@ from songseg.spectral import mel_log_spectrogram
 from songseg.sslm import SslmConfig, compute_sslm
 from songseg.synth import synth_corpus
 from songseg.training import TrackExample, train
+
+from oracles import (exhaustive_match_count, finite_difference,
+                     finite_difference_at, front_end_series,
+                     relative_error, sslm_via_ssm)
 
 PARAMS = PipelineParams()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from songseg.cli import main
-from songseg.params import RunConfig
+from songseg.params import PipelineParams, RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +109,43 @@ def test_train_zero_epochs_checkpoints_initial_weights(workspace, tmp_path):
     fresh = BoundaryNet(input_height=80, seed=7)
     for name in fresh.params:
         np.testing.assert_array_equal(model.params[name], fresh.params[name])
+
+
+def test_train_empty_train_split_exits_1(workspace, tmp_path, capsys):
+    root, data, cfg, feats = (workspace[k] for k in
+                              ("root", "data", "cfg", "feats"))
+    manifest = tmp_path / "no_train.tsv"
+    manifest.write_text("track000\tval\ntrack001\ttest\n")
+    assert main(["train", "--config", str(cfg), "--features", str(feats),
+                 "--refs", str(data / "refs"), "--split", str(manifest),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "train" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unknown_config_key_exits_1(workspace, tmp_path, capsys):
+    data, feats = workspace["data"], workspace["feats"]
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("epoch = 1\n")
+    assert main(["train", "--config", str(cfg), "--features", str(feats),
+                 "--refs", str(data / "refs"),
+                 "--split", str(workspace["root"] / "all_train.tsv"),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epoch" in err
+
+
+def test_train_rejects_features_of_another_config(workspace, tmp_path, capsys):
+    data, feats = workspace["data"], workspace["feats"]
+    cfg = tmp_path / "fmin100.cfg"
+    RunConfig(params=PipelineParams(fmin=100.0), epochs=1).to_file(cfg)
+    assert main(["train", "--config", str(cfg), "--features", str(feats),
+                 "--refs", str(data / "refs"),
+                 "--split", str(workspace["root"] / "all_train.tsv"),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert "different pipeline configuration" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_predict_threshold_one_gives_empty_file(workspace):

@@ -4,7 +4,8 @@ import pytest
 from songseg.annotations import BoundarySet
 from songseg.evaluation import (format_score_table, match_boundaries, prf,
                                 report_csv_lines, score_corpus)
-from songseg.oracles import exhaustive_match_count
+
+from oracles import exhaustive_match_count
 
 
 class TestMatchBoundaries:

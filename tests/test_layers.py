@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from songseg import layers
-from songseg.oracles import finite_difference, relative_error
+
+from oracles import finite_difference, relative_error
 
 GRAD_TOL = 1e-4
 

@@ -3,8 +3,9 @@ import pytest
 
 from songseg.layers import bce_with_logits
 from songseg.model import CONV1, CONV2, CONV3, CONV4, POOL, BoundaryNet, \
-    pooled_height, stack_input_matrices
-from songseg.oracles import finite_difference_at, relative_error
+    pooled_height
+
+from oracles import finite_difference_at, relative_error
 
 
 class TestArchitecture:
@@ -113,12 +114,3 @@ class TestBackward:
         idx = rng.choice(x.size, size=20, replace=False)
         fd = finite_difference_at(loss_for_input, x, idx)
         assert relative_error(grad_input.ravel()[idx], fd) < 1e-4
-
-
-def test_stack_input_matrices(rng):
-    a = rng.standard_normal((80, 30))
-    b = rng.standard_normal((100, 30))
-    stacked = stack_input_matrices([a, b])
-    assert stacked.shape == (180, 30)
-    with pytest.raises(ValueError):
-        stack_input_matrices([a, rng.standard_normal((100, 31))])

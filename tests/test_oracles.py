@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import songseg.layers
-from songseg import oracles
+
+import oracles
 
 
 def test_suite_passes_on_fresh_checkout():

@@ -1,13 +1,16 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from songseg.audio import write_wav
-from songseg.params import RunConfig, SSLM_VARIANTS
+from songseg.errors import CompatibilityError
+from songseg.params import PipelineParams, RunConfig, SSLM_VARIANTS
 from songseg.pipeline import (extract_inputs, extract_track_features,
-                              input_height_for, load_track_input,
-                              matrix_filename)
+                              load_track_input, matrix_filename)
+from songseg.serialize import save_matrix
+from songseg.spectral import FeatureMatrix
 from songseg.synth import synth_corpus
 
 from conftest import random_audio
@@ -58,15 +61,21 @@ class TestExtractInputs:
 
 
 class TestHeights:
+    """Stacked network-input height: n_mels rows plus lag bins per SSLM."""
+
+    def _height(self, run):
+        mats = extract_inputs(random_audio(6, 2.0), run)
+        return sum(m.n_bins for m in mats.values())
+
     def test_pool6_full_selection(self):
         run = RunConfig(include_mls=True, sslm_inputs=SSLM_VARIANTS,
                         pooling="pool6")
-        assert input_height_for(run) == 80 + 4 * 100
+        assert self._height(run) == 80 + 4 * 100
 
     def test_pool2_3_lag_bins(self):
         run = RunConfig(include_mls=False, sslm_inputs=("mfcc-cosine",),
                         pooling="pool2_3")
-        assert input_height_for(run) == 301
+        assert self._height(run) == 301
 
 
 class TestTrackFeatureFiles:
@@ -101,8 +110,7 @@ class TestTrackFeatureFiles:
         extract_track_features(wav, out, run)
         meta = (out / "track000.meta").read_text()
 
-        other = RunConfig(include_mls=True,
-                          params=run.params).with_params(n_mels=40)
+        other = replace(run, params=replace(run.params, n_mels=40))
         extract_track_features(wav, out, other)
         assert (out / "track000.meta").read_text() != meta
 
@@ -118,9 +126,36 @@ class TestTrackFeatureFiles:
 
     def test_missing_matrix_raises(self, corpus):
         tmp_path, wav = corpus
+        out = tmp_path / "features"
         run = RunConfig(include_mls=True)
+        extract_track_features(wav, out, run)
+        os.remove(out / matrix_filename("track000", "mls"))
         with pytest.raises(FileNotFoundError, match="track000"):
-            load_track_input(tmp_path / "nowhere", "track000", run)
+            load_track_input(out, "track000", run)
+
+    def test_load_track_input_checks_meta_sidecar(self, corpus):
+        tmp_path, wav = corpus
+        out = tmp_path / "features"
+        extracted = RunConfig(params=PipelineParams(fmin=80.0))
+        extract_track_features(wav, out, extracted)
+        with pytest.raises(CompatibilityError, match="track000"):
+            load_track_input(out, "track000",
+                             RunConfig(params=PipelineParams(fmin=100.0)))
+        os.remove(out / "track000.meta")
+        with pytest.raises(FileNotFoundError, match="track000.meta"):
+            load_track_input(out, "track000", extracted)
+        with pytest.raises(FileNotFoundError, match="track000"):
+            load_track_input(tmp_path / "nowhere", "track000", extracted)
+
+    def test_load_track_input_rejects_frame_mismatch(self, corpus):
+        tmp_path, wav = corpus
+        out = tmp_path / "features"
+        run = RunConfig(include_mls=True, sslm_inputs=("mfcc-euclidean",))
+        paths = extract_track_features(wav, out, run)
+        save_matrix(FeatureMatrix(np.zeros((100, 7), dtype=np.float32),
+                                  hop_seconds=0.1, kind="net_input"), paths[1])
+        with pytest.raises(ValueError, match="disagree"):
+            load_track_input(out, "track000", run)
 
 
 def test_matrix_filename():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from songseg.annotations import BoundarySet, TargetCurve
 from songseg.errors import CompatibilityError, FormatError
 from songseg.model import BoundaryNet
 from songseg.optim import init_adam
-from songseg.params import RunConfig
+from songseg.params import SSLM_VARIANTS, PipelineParams, RunConfig
 from songseg.serialize import (load_checkpoint, load_matrix, save_checkpoint,
                                save_matrix)
 from songseg.spectral import FeatureMatrix
@@ -152,3 +154,36 @@ class TestRunConfigHash:
         back = RunConfig.from_file(path)
         assert back == run
         assert back.pipeline_hash() == run.pipeline_hash()
+
+    def test_pipeline_hash_pinned(self):
+        # A changed digest orphans every feature file and checkpoint on disk.
+        assert RunConfig().pipeline_hash() == (
+            "f0a52a0cf74eb9e2e0f0a2fd8171ee2264ced88309cd87f1dc5b78200a6252b8")
+        assert RunConfig(pooling="pool6", sslm_inputs=SSLM_VARIANTS).pipeline_hash() == (
+            "a18e64f7f030339217eed432f122709be95d7d17f591fe244eb0a4192a4af0f7")
+        assert RunConfig(pooling="pool2_3", sslm_inputs=SSLM_VARIANTS).pipeline_hash() == (
+            "5d2e2f936d6e8443da356fc971a6944eea6075bbc3fbe49ea77af707ffec6005")
+
+    def test_config_file_roundtrip_every_field(self, tmp_path):
+        params = PipelineParams(sr=22050, window=1024, hop=256, n_mels=40,
+                                fmin=100.0, fmax=8000.0, lag_seconds=9.5,
+                                pool_single=8, pool_pre=4, pool_post=2,
+                                stacking=3, quantile=0.25, final_pad=20,
+                                floor_db=-60.0)
+        run = RunConfig(params=params, pooling="pool2_3", include_mls=False,
+                        sslm_inputs=("mfcc-cosine", "chroma-euclidean"),
+                        epochs=7, seed=11, split_seed=5, threshold=0.3)
+        for obj, default in ((params, PipelineParams()), (run, RunConfig())):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+        path = tmp_path / "run.cfg"
+        run.to_file(path)
+        back = RunConfig.from_file(path)
+        assert back == run
+        assert back.pipeline_hash() == run.pipeline_hash()
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epoch = 1\n")
+        with pytest.raises(FormatError, match="epoch"):
+            RunConfig.from_file(path)

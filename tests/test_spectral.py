@@ -3,11 +3,11 @@ import pytest
 
 from songseg.audio import AudioBuffer
 from songseg.errors import InputTooShortError
-from songseg.oracles import dft_direct
 from songseg.spectral import (FeatureMatrix, chroma_project, max_pool_time,
                               mel_log_spectrogram, stft_magnitude)
 
 from conftest import random_audio
+from oracles import dft_direct
 
 
 def _tone(freq, seconds, sr=44100, amp=0.5):

@@ -6,18 +6,23 @@ from songseg.errors import InputTooShortError
 from songseg.params import PipelineParams
 from songseg.spectral import FeatureMatrix, mel_log_spectrogram, stft_magnitude
 from songseg.sslm import (LagFeatureSeries, SslmConfig, align_frames,
-                          compute_sslm, dct_features, distance, equalize,
+                          compute_sslm, dct_features, equalize,
                           finalize_input, lag_distances, pad_noise_floor,
                           pink_noise, recurrence, stack_frames)
 
 from conftest import random_audio
+from oracles import causal_lag_view, pairwise_ssm
 
 SIGMOID_OF_ONE = 0.7310585786300049
 
 
 def _series(values):
-    return LagFeatureSeries(vectors=np.asarray(values, dtype=np.float64),
-                            origin="dct_of_mls")
+    return LagFeatureSeries(vectors=np.asarray(values, dtype=np.float64))
+
+
+def distance(u, v, metric):
+    """Distance of ``u`` from its predecessor ``v``: lag 1 of a two-frame series."""
+    return lag_distances(_series(np.column_stack([v, u])), 1, metric)[1, 0]
 
 
 class TestPadNoiseFloor:
@@ -119,14 +124,11 @@ class TestLagDistances:
         np.testing.assert_allclose(d[3:, 2], 0.0, atol=1e-12)
 
     def test_matches_bruteforce_loop(self, rng):
-        series = _series(rng.standard_normal((5, 10)))
+        vectors = rng.standard_normal((5, 10))
         for metric in ("euclidean", "cosine"):
-            d = lag_distances(series, 3, metric)
-            for i in range(10):
-                for lag in range(1, 4):
-                    ref = distance(series.vectors[:, i],
-                                   series.vectors[:, max(i - lag, 0)], metric)
-                    assert d[i, lag - 1] == pytest.approx(ref, abs=1e-12)
+            d = lag_distances(_series(vectors), 3, metric)
+            ref = causal_lag_view(pairwise_ssm(vectors, metric), 3)
+            np.testing.assert_allclose(d, ref, rtol=0, atol=1e-12)
 
 
 class TestEqualize:
