@@ -109,21 +109,24 @@ class RunConfig:
         for name in self.sslm_inputs:
             if name not in SSLM_VARIANTS:
                 raise ValueError(f"unknown SSLM variant {name!r}")
+        if len(set(self.sslm_inputs)) != len(self.sslm_inputs):
+            raise ValueError(f"duplicate SSLM variant in {self.sslm_inputs!r}")
         if not self.include_mls and not self.sslm_inputs:
             raise ValueError("at least one input matrix must be selected")
+        # Canonical order, so configurations that select the same inputs
+        # compare equal and survive a to_file/from_file round trip.
+        object.__setattr__(self, "sslm_inputs", tuple(
+            v for v in SSLM_VARIANTS if v in self.sslm_inputs))
 
     def input_names(self) -> list:
         """Selected input matrices in canonical stacking order (MLS first)."""
-        names = ["mls"] if self.include_mls else []
-        names.extend(v for v in SSLM_VARIANTS if v in self.sslm_inputs)
-        return names
+        return (["mls"] if self.include_mls else []) + list(self.sslm_inputs)
 
     def canonical_lines(self) -> list:
         """Deterministic ``key = value`` rendering of the full configuration."""
         items = {f.name: getattr(self.params, f.name) for f in fields(self.params)}
         items.update((f.name, getattr(self, f.name)) for f in _RUN_FIELDS)
-        items["sslm_inputs"] = ",".join(v for v in SSLM_VARIANTS
-                                        if v in self.sslm_inputs)
+        items["sslm_inputs"] = ",".join(self.sslm_inputs)
         return [f"{k} = {_render(v)}" for k, v in sorted(items.items())]
 
     def pipeline_hash(self) -> str:
@@ -143,7 +146,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        raw = {}
+        raw, where = {}, {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
@@ -153,20 +156,35 @@ class RunConfig:
                     raise FormatError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
                 raw[key] = value
-        return cls.from_mapping(raw)
+                where[key] = f"{path}:{lineno}: "
+        return cls.from_mapping(raw, where)
 
     @classmethod
-    def from_mapping(cls, raw: dict) -> "RunConfig":
-        """Parse ``canonical_lines`` keys; an unknown key raises FormatError."""
+    def from_mapping(cls, raw: dict, where: dict = None) -> "RunConfig":
+        """Parse ``canonical_lines`` keys; an unknown key raises FormatError.
+
+        A value that does not parse as its field's type raises FormatError
+        naming the key, prefixed by ``where[key]`` (a ``file:line: ``
+        location) when given.
+        """
         pp_types = {f.name: f.type for f in fields(PipelineParams)}
         run_types = {f.name: f.type for f in _RUN_FIELDS}
         unknown = sorted(set(raw) - pp_types.keys() - run_types.keys())
         if unknown:
             raise FormatError(f"unknown config key(s): {', '.join(unknown)}")
-        params = PipelineParams(**{k: _parse(v, pp_types[k])
-                                   for k, v in raw.items() if k in pp_types})
-        return cls(params=params, **{k: _parse(v, run_types[k])
-                                     for k, v in raw.items() if k in run_types})
+
+        def parse(key, type_name):
+            try:
+                return _parse(raw[key], type_name)
+            except ValueError:
+                loc = (where or {}).get(key, "")
+                raise FormatError(f"{loc}{key} = {raw[key]!r} is not a valid "
+                                  f"{type_name}") from None
+
+        params = PipelineParams(**{k: parse(k, pp_types[k])
+                                   for k in raw if k in pp_types})
+        return cls(params=params, **{k: parse(k, run_types[k])
+                                     for k in raw if k in run_types})
 
 
 # RunConfig fields other than the nested ``params``.

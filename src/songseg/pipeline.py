@@ -8,14 +8,15 @@ sidecar metadata so re-runs can skip up-to-date outputs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 
 from .audio import AudioBuffer, read_wav, resample
 from .errors import CompatibilityError
 from .params import RunConfig
-from .spectral import max_pool_time, mel_log_spectrogram
-from .sslm import SslmConfig, align_frames, compute_sslm, finalize_input
+from .spectral import max_pool_time
+from .sslm import FrontEnd, SslmConfig, align_frames, compute_sslm, finalize_input
 
 # Fixed pink-noise seed per input kind: padding must be reproducible across
 # tracks and runs.
@@ -38,17 +39,18 @@ def extract_inputs(audio: AudioBuffer, run: RunConfig) -> dict:
     """All selected finalized input matrices for one audio buffer.
 
     Returns ``{input_name: FeatureMatrix}`` where every matrix has kind
-    ``net_input`` and the same frame count.
+    ``net_input`` and the same frame count.  All inputs share one
+    :class:`FrontEnd`, so the track's STFT is computed once.
     """
     if audio.sample_rate != run.params.sr:
         audio = resample(audio, run.params.sr)
+    front = FrontEnd(audio, run.params)
     raw = {}
     for name in run.input_names():
         if name == "mls":
-            mls = mel_log_spectrogram(audio, run.params)
-            raw[name] = max_pool_time(mls, run.params.pool_single)
+            raw[name] = max_pool_time(front.mls, run.params.pool_single)
         else:
-            raw[name] = compute_sslm(audio, sslm_config_for(name, run))
+            raw[name] = compute_sslm(audio, sslm_config_for(name, run), front)
     names = list(raw.keys())
     aligned = align_frames([raw[n] for n in names])
     return {
@@ -77,7 +79,7 @@ def extract_track_features(wav_path, out_dir, run: RunConfig,
     digest; when both still match, the track is skipped.  Returns the list
     of written (or validated) matrix paths.
     """
-    from .serialize import save_matrix
+    from .serialize import atomic_write, save_matrix
 
     track_id = os.path.splitext(os.path.basename(wav_path))[0]
     pipeline_hash = run.pipeline_hash()
@@ -95,9 +97,13 @@ def extract_track_features(wav_path, out_dir, run: RunConfig,
     audio = read_wav(wav_path)
     matrices = extract_inputs(audio, run)
     os.makedirs(out_dir, exist_ok=True)
+    # The sidecar vouches for the matrices beside it: drop the old one
+    # before they are replaced and write the new one last.
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta_path)
     for name, path in zip(run.input_names(), paths):
         save_matrix(matrices[name], path)
-    with open(meta_path, "w", encoding="utf-8") as fh:
+    with atomic_write(meta_path, "w", encoding="utf-8") as fh:
         fh.write(f"pipeline_hash\t{pipeline_hash}\n")
         fh.write(f"audio_sha256\t{audio_hash}\n")
         fh.write(f"inputs\t{','.join(run.input_names())}\n")

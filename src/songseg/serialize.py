@@ -5,11 +5,16 @@ code, hop seconds, pool factor, pad frames) and a row-major float32
 payload.  Checkpoints: magic, version, the sha256 of the pipeline
 configuration, epoch/step counters, optimizer hyperparameters, then
 length-prefixed named float32 tensors (model parameters and Adam moments).
+
+Every file is written to a temporary name in its directory and renamed into
+place, so an interrupted write leaves the previous file, never a partial one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,6 +29,24 @@ CHECKPOINT_MAGIC = b"SSEGCKP1"
 CHECKPOINT_VERSION = 1
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Open a temporary file next to ``path``; rename it over ``path`` on success.
+
+    If the body raises, the temporary file is removed and ``path`` is left
+    as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_matrix(m: FeatureMatrix, path) -> None:
     """Write a FeatureMatrix; values are stored as little-endian float32."""
     values = np.ascontiguousarray(m.values, dtype="<f4")
@@ -32,7 +55,7 @@ def save_matrix(m: FeatureMatrix, path) -> None:
         "<IIIdII", rows, cols, MATRIX_DTYPE_F32,
         float(m.hop_seconds), int(m.pool_factor), int(m.pad_frames),
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         fh.write(values.tobytes())
 
@@ -109,7 +132,7 @@ def save_checkpoint(model: BoundaryNet, adam: AdamState, path,
         struct.pack("<dddd", adam.lr, adam.beta1, adam.beta2, adam.eps),
         struct.pack("<I", len(tensors)),
     ])
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
         for blob in tensors:
             fh.write(blob)

@@ -96,14 +96,19 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_log_spectrogram(audio: AudioBuffer, params: PipelineParams) -> FeatureMatrix:
+def mel_log_spectrogram(audio: AudioBuffer, params: PipelineParams,
+                        stft: FeatureMatrix = None) -> FeatureMatrix:
     """Mel-band energies in dB with a hard floor at ``params.floor_db``.
 
-    Silence maps exactly to the floor: energies at or below the linear
-    floor amplitude are assigned ``floor_db`` rather than passed through
-    the logarithm.
+    ``stft`` is the STFT magnitude of ``audio`` when the caller already
+    holds it; otherwise it is computed here.  Silence maps exactly to the
+    floor: energies at or below the linear floor amplitude are assigned
+    ``floor_db`` rather than passed through the logarithm.
     """
-    stft = stft_magnitude(audio, params)
+    if stft is None:
+        stft = stft_magnitude(audio, params)
+    elif stft.kind != "stft_mag":
+        raise ValueError(f"mel projection expects stft_mag input, got {stft.kind!r}")
     mel = mel_filterbank(params) @ stft.values
     floor = params.floor_amplitude
     db = np.full(mel.shape, params.floor_db)

@@ -11,6 +11,12 @@ score between each time frame and its recent past:
 5. compute per-lag distances, equalize them by a local quantile, drop the
    frames that lie inside the pad, and squash through a sigmoid.
 
+One :class:`FrontEnd` per track computes the STFT once and serves every
+input from it: the mel spectrogram and each stacked series are derived
+from that one STFT.  Equalization selects the two order statistics the
+quantile interpolates between, exactly matching
+``np.quantile(method="linear")``.
+
 Outputs are in (0, 1): values near 1 mean a frame closely repeats material
 from that many frames ago.
 """
@@ -18,6 +24,7 @@ from that many frames ago.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -189,18 +196,39 @@ def equalize(d: np.ndarray, kappa: float) -> np.ndarray:
     ``eps[i, l-1]`` is the ``kappa``-quantile (linear interpolation) of the
     multiset formed by row ``i`` and row ``i-l`` of ``d``; when ``i-l`` is
     before the first row, row ``i`` is used twice.
+
+    The result equals ``np.quantile(..., method="linear")`` bit for bit.
+    That quantile reads only the order statistics at ``lo = floor(h)`` and
+    ``lo + 1`` of the merged row, ``h = (2L - 1) * kappa``, and those lie
+    among the ``lo + 2`` smallest values of either row.  So every row is
+    sorted once, and per lag only the two short prefixes are partitioned.
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
     n, lag_bins = d.shape
-    eps = np.empty_like(d)
+    h = (2 * lag_bins - 1) * kappa
+    lo = int(np.floor(h))
+    hi = min(lo + 1, 2 * lag_bins - 1)
+    gamma = h - lo
+    head = np.sort(d, axis=1)[:, : min(lo + 2, lag_bins)]
+    nan_rows = np.isnan(d).any(axis=1)
+    a = np.empty_like(d)
+    b = np.empty_like(d)
     base = np.arange(n)
     for lag in range(1, lag_bins + 1):
         prev = base - lag
         prev[prev < 0] = base[prev < 0]
-        stacked = np.hstack([d, d[prev]])
-        eps[:, lag - 1] = np.quantile(stacked, kappa, axis=1, method="linear")
-    return eps
+        merged = np.concatenate([head, head[prev]], axis=1)
+        merged.partition([lo, hi], axis=1)
+        a[:, lag - 1] = merged[:, lo]
+        b[:, lag - 1] = merged[:, hi]
+        # np.quantile answers NaN for any multiset holding a NaN.
+        a[nan_rows | nan_rows[prev], lag - 1] = np.nan
+    # numpy's interpolation rule (``_lerp``), kept for bit equality.
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1.0 - gamma)
+    return a + diff * gamma
 
 
 def recurrence(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -222,25 +250,59 @@ def recurrence(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.nan_to_num(r, nan=0.0)
 
 
-def compute_sslm(audio: AudioBuffer, config: SslmConfig) -> FeatureMatrix:
+class FrontEnd:
+    """One track's spectral front end, shared by all of its input matrices.
+
+    The STFT magnitude, the mel spectrogram derived from it, and each
+    (feature, pre-pool factor) stacked series are computed on first use and
+    kept for the life of the object, so one STFT serves every input and
+    the euclidean and cosine matrices of a feature read the same series.
+    """
+
+    def __init__(self, audio: AudioBuffer, params: PipelineParams):
+        self.audio = audio
+        self.params = params
+        self._series = {}
+
+    @cached_property
+    def stft(self) -> FeatureMatrix:
+        return stft_magnitude(self.audio, self.params)
+
+    @cached_property
+    def mls(self) -> FeatureMatrix:
+        return mel_log_spectrogram(self.audio, self.params, self.stft)
+
+    def series(self, feature: str, pool_pre: int) -> LagFeatureSeries:
+        """Padded, pooled, DCT or chroma, stacked frames of one feature."""
+        key = (feature, pool_pre)
+        if key not in self._series:
+            p = self.params
+            source = self.mls if feature == "mfcc" else self.stft
+            pooled = max_pool_time(pad_noise_floor(source, p), pool_pre)
+            if feature == "mfcc":
+                series = dct_features(pooled)
+            else:
+                series = chroma_features(chroma_project(pooled, p))
+            self._series[key] = stack_frames(series, p.stacking)
+        return self._series[key]
+
+
+def compute_sslm(audio: AudioBuffer, config: SslmConfig,
+                 front: FrontEnd = None) -> FeatureMatrix:
     """Full lag-matrix pipeline for one (feature, metric, pooling) variant.
 
     Output is ``(lag_bins, frames)`` with values in (0, 1) at the final
     pooled frame rate ``sr / (hop * 6)`` for either pooling strategy.
+    ``front`` is the track's shared :class:`FrontEnd`; without it the
+    front end is computed for this call alone.
     """
     p = config.params
     p_pre = config.pool_pre
-
-    if config.feature == "mfcc":
-        front = mel_log_spectrogram(audio, p)
-    else:
-        front = stft_magnitude(audio, p)
-    pooled = max_pool_time(pad_noise_floor(front, p), p_pre)
-    if config.feature == "mfcc":
-        series = dct_features(pooled)
-    else:
-        series = chroma_features(chroma_project(pooled, p))
-    stacked = stack_frames(series, p.stacking)
+    if front is None:
+        front = FrontEnd(audio, p)
+    elif front.audio is not audio or front.params != p:
+        raise ValueError("front end was built for another track or configuration")
+    stacked = front.series(config.feature, p_pre)
 
     lag_bins = p.lag_frames // p_pre
     d = lag_distances(stacked, lag_bins, config.metric)

@@ -7,7 +7,7 @@ registered in ``sys.modules``.
 Everything here recomputes a production quantity through a different route:
 definitional DFT/DCT summations, the full self-similarity matrix with lag
 extraction (instead of direct per-lag distances), sort-and-interpolate
-quantiles, scipy distance/sigmoid primitives, central finite differences,
+and ``np.quantile`` quantiles, scipy distance/sigmoid primitives, central finite differences,
 and exhaustive boundary matching.  None of it shares code with the
 production paths it checks.
 """
@@ -117,6 +117,23 @@ def equalize_by_sort(d: np.ndarray, kappa: float) -> np.ndarray:
         prev[prev < 0] = base[prev < 0]
         merged = np.sort(np.concatenate([d, d[prev]], axis=1), axis=1)
         eps[:, lag - 1] = merged[:, lo] + frac * (merged[:, hi] - merged[:, lo])
+    return eps
+
+
+def equalize_by_quantile(d: np.ndarray, kappa: float) -> np.ndarray:
+    """Quantile equalization with one ``np.quantile`` over both rows per lag.
+
+    The definitional form of ``sslm.equalize``, which must match it bit
+    for bit.
+    """
+    n, lag_bins = d.shape
+    eps = np.empty_like(d)
+    base = np.arange(n)
+    for lag in range(1, lag_bins + 1):
+        prev = base - lag
+        prev[prev < 0] = base[prev < 0]
+        stacked = np.hstack([d, d[prev]])
+        eps[:, lag - 1] = np.quantile(stacked, kappa, axis=1, method="linear")
     return eps
 
 

@@ -136,6 +136,19 @@ def test_unknown_config_key_exits_1(workspace, tmp_path, capsys):
     assert err.startswith("error:") and "epoch" in err
 
 
+def test_malformed_config_value_exits_1(workspace, tmp_path, capsys):
+    data, feats = workspace["data"], workspace["feats"]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs = ten\n")
+    assert main(["train", "--config", str(cfg), "--features", str(feats),
+                 "--refs", str(data / "refs"),
+                 "--split", str(workspace["root"] / "all_train.tsv"),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{cfg}:1: epochs" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_train_rejects_features_of_another_config(workspace, tmp_path, capsys):
     data, feats = workspace["data"], workspace["feats"]
     cfg = tmp_path / "fmin100.cfg"

@@ -4,13 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from songseg import pipeline, spectral, sslm
 from songseg.audio import write_wav
 from songseg.errors import CompatibilityError
 from songseg.params import PipelineParams, RunConfig, SSLM_VARIANTS
-from songseg.pipeline import (extract_inputs, extract_track_features,
-                              load_track_input, matrix_filename)
+from songseg.pipeline import (PINK_SEEDS, extract_inputs, extract_track_features,
+                              load_track_input, matrix_filename, sslm_config_for)
 from songseg.serialize import save_matrix
-from songseg.spectral import FeatureMatrix
+from songseg.spectral import FeatureMatrix, max_pool_time, mel_log_spectrogram
+from songseg.sslm import (FrontEnd, SslmConfig, align_frames, compute_sslm,
+                          finalize_input)
 from songseg.synth import synth_corpus
 
 from conftest import random_audio
@@ -58,6 +61,50 @@ class TestExtractInputs:
         b = extract_inputs(audio, run)
         for name in a:
             np.testing.assert_array_equal(a[name].values, b[name].values)
+
+
+class TestSharedFrontEnd:
+    """One front end per track: same matrices as separate per-input runs."""
+
+    @pytest.mark.parametrize("pooling", ["pool6", "pool2_3"])
+    def test_bit_identical_to_per_input_computation(self, pooling):
+        run = RunConfig(pooling=pooling, sslm_inputs=SSLM_VARIANTS)
+        audio = random_audio(8, 4.0)
+        raw = [max_pool_time(mel_log_spectrogram(audio, run.params),
+                             run.params.pool_single)]
+        raw += [compute_sslm(audio, sslm_config_for(name, run))
+                for name in SSLM_VARIANTS]
+        got = extract_inputs(audio, run)
+        for name, m in zip(run.input_names(), align_frames(raw)):
+            want = finalize_input(m, run.params.final_pad, PINK_SEEDS[name])
+            assert np.array_equal(got[name].values, want.values), name
+
+    def test_one_stft_per_extraction(self, monkeypatch):
+        original = spectral.stft_magnitude
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (spectral, sslm, pipeline):
+            if getattr(module, "stft_magnitude", None) is original:
+                monkeypatch.setattr(module, "stft_magnitude", counted)
+        run = RunConfig(sslm_inputs=SSLM_VARIANTS)
+        audio = random_audio(9, 3.0)
+        extract_inputs(audio, run)
+        assert len(calls) == 1
+        extract_inputs(audio, run)
+        assert len(calls) == 2
+
+    def test_front_end_must_match(self, params):
+        audio = random_audio(10, 2.0)
+        config = SslmConfig("mfcc", "cosine", "pool6", params)
+        with pytest.raises(ValueError, match="front end"):
+            compute_sslm(audio, config, FrontEnd(random_audio(11, 2.0), params))
+        with pytest.raises(ValueError, match="front end"):
+            compute_sslm(audio, config,
+                         FrontEnd(audio, PipelineParams(fmin=100.0)))
 
 
 class TestHeights:
@@ -146,6 +193,29 @@ class TestTrackFeatureFiles:
             load_track_input(out, "track000", extracted)
         with pytest.raises(FileNotFoundError, match="track000"):
             load_track_input(tmp_path / "nowhere", "track000", extracted)
+
+    def test_interrupted_reextraction_leaves_no_sidecar(self, corpus, monkeypatch):
+        tmp_path, wav = corpus
+        out = tmp_path / "features"
+        run = RunConfig(include_mls=True, sslm_inputs=("mfcc-euclidean",))
+        paths = extract_track_features(wav, out, run)
+        before = [open(p, "rb").read() for p in paths]
+
+        def save_then_fail(m, path):
+            if path == paths[1]:
+                raise OSError("disk full")
+            save_matrix(m, path)
+
+        monkeypatch.setattr("songseg.serialize.save_matrix", save_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            extract_track_features(wav, out, run, force=True)
+        # The stale sidecar went before any matrix was replaced, so the
+        # half-rewritten track no longer passes as complete.
+        assert not (out / "track000.meta").exists()
+        with pytest.raises(FileNotFoundError, match="track000.meta"):
+            load_track_input(out, "track000", run)
+        assert [open(p, "rb").read() for p in paths] == before
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in paths)
 
     def test_load_track_input_rejects_frame_mismatch(self, corpus):
         tmp_path, wav = corpus

@@ -1,3 +1,5 @@
+import builtins
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +10,7 @@ from songseg.errors import CompatibilityError, FormatError
 from songseg.model import BoundaryNet
 from songseg.optim import init_adam
 from songseg.params import SSLM_VARIANTS, PipelineParams, RunConfig
+from songseg import serialize
 from songseg.serialize import (load_checkpoint, load_matrix, save_checkpoint,
                                save_matrix)
 from songseg.spectral import FeatureMatrix
@@ -133,6 +136,59 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class _FailAfterFirstWrite:
+    """File wrapper whose second ``write`` raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrites:
+    def _save_matrix(self, path, fill):
+        save_matrix(FeatureMatrix(values=np.full((3, 4), fill, dtype=np.float32),
+                                  hop_seconds=0.1, kind="net_input"), path)
+
+    def _save_checkpoint(self, path, seed):
+        model = BoundaryNet(input_height=8, seed=seed)
+        save_checkpoint(model, init_adam(model.params), path,
+                        RunConfig().pipeline_hash(), epoch=seed)
+
+    @pytest.mark.parametrize("kind", ["matrix", "checkpoint"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / f"artifact.{kind}"
+        save = self._save_matrix if kind == "matrix" else self._save_checkpoint
+        save(path, 1)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            serialize, "open", raising=False,
+            value=lambda p, mode, **kw: _FailAfterFirstWrite(builtins.open(p, mode, **kw)))
+        with pytest.raises(OSError, match="disk full"):
+            save(path, 2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_successful_write_replaces_file(self, tmp_path):
+        path = tmp_path / "m.mat"
+        self._save_matrix(path, 1)
+        self._save_matrix(path, 2)
+        assert np.all(load_matrix(path).values == 2)
+        assert os.listdir(tmp_path) == ["m.mat"]
+
+
 class TestRunConfigHash:
     def test_training_knobs_do_not_change_hash(self):
         a = RunConfig(epochs=10, seed=1)
@@ -181,6 +237,32 @@ class TestRunConfigHash:
         back = RunConfig.from_file(path)
         assert back == run
         assert back.pipeline_hash() == run.pipeline_hash()
+
+    def test_malformed_value_names_key_file_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("pooling = pool6\nepochs = ten\n")
+        with pytest.raises(FormatError, match=r"run\.cfg:2: epochs = 'ten'"):
+            RunConfig.from_file(path)
+        with pytest.raises(FormatError, match="include_mls"):
+            RunConfig.from_mapping({"include_mls": "maybe"})
+        with pytest.raises(FormatError, match="quantile"):
+            RunConfig.from_mapping({"quantile": "tenth"})
+
+    def test_sslm_inputs_stored_in_canonical_order(self, tmp_path):
+        run = RunConfig(sslm_inputs=("chroma-cosine", "mfcc-cosine"))
+        assert run.sslm_inputs == ("mfcc-cosine", "chroma-cosine")
+        assert run == RunConfig(sslm_inputs=("mfcc-cosine", "chroma-cosine"))
+        path = tmp_path / "run.cfg"
+        run.to_file(path)
+        assert RunConfig.from_file(path) == run
+
+    def test_duplicate_sslm_input_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="duplicate"):
+            RunConfig(sslm_inputs=("mfcc-cosine", "mfcc-cosine"))
+        path = tmp_path / "run.cfg"
+        path.write_text("sslm_inputs = mfcc-cosine,mfcc-cosine\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            RunConfig.from_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

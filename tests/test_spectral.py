@@ -92,6 +92,15 @@ class TestMelLogSpectrogram:
             mid = out.values[:, out.n_frames // 2]
             assert int(np.argmax(mid)) == band
 
+    def test_given_stft_gives_same_result(self, params):
+        audio = random_audio(5, 0.3)
+        stft = stft_magnitude(audio, params)
+        np.testing.assert_array_equal(
+            mel_log_spectrogram(audio, params, stft).values,
+            mel_log_spectrogram(audio, params).values)
+        with pytest.raises(ValueError, match="stft_mag"):
+            mel_log_spectrogram(audio, params, mel_log_spectrogram(audio, params))
+
 
 class TestChroma:
     def test_zero_spectrum(self, params):

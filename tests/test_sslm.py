@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from songseg.audio import AudioBuffer
 from songseg.errors import InputTooShortError
@@ -11,7 +14,8 @@ from songseg.sslm import (LagFeatureSeries, SslmConfig, align_frames,
                           pink_noise, recurrence, stack_frames)
 
 from conftest import random_audio
-from oracles import causal_lag_view, pairwise_ssm
+from oracles import (causal_lag_view, equalize_by_quantile, equalize_by_sort,
+                     pairwise_ssm)
 
 SIGMOID_OF_ONE = 0.7310585786300049
 
@@ -149,6 +153,49 @@ class TestEqualize:
         # row 0 at any lag sees {2,4} twice; median 3
         assert eps[0, 0] == pytest.approx(3.0)
         assert eps[0, 1] == pytest.approx(3.0)
+
+    def test_nan_row_poisons_its_multisets(self):
+        d = np.arange(12.0).reshape(4, 3)
+        d[1, 2] = np.nan
+        np.testing.assert_array_equal(equalize(d, 0.1),
+                                      equalize_by_quantile(d, 0.1))
+        assert np.isnan(equalize(d, 0.1)[2, 0])
+
+
+# Distances on a coarse grid so that ties are common; zero rows included.
+_distance_rows = st.integers(1, 12).flatmap(lambda lag_bins: arrays(
+    np.float64, st.tuples(st.integers(0, 2 * lag_bins + 3), st.just(lag_bins)),
+    elements=st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 7.25])
+    | st.floats(0.0, 10.0, allow_nan=False)))
+
+
+class TestEqualizeProperties:
+    """``equalize`` against the np.quantile definition, any shape and kappa."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=_distance_rows,
+           kappa=st.sampled_from([0.1, 0.37, 0.5, 0.9]))
+    def test_bit_identical_to_np_quantile(self, d, kappa):
+        # kappa = 0.9 puts the interpolation weight past 0.5, where numpy
+        # interpolates down from the upper order statistic.
+        assert np.array_equal(equalize(d, kappa), equalize_by_quantile(d, kappa))
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=_distance_rows,
+           kappa=st.sampled_from([0.1, 0.37, 0.5, 0.9]))
+    def test_matches_sort_and_interpolate(self, d, kappa):
+        # equalize_by_sort always interpolates up from the lower statistic,
+        # so it may differ from numpy's rule in the last bit.
+        np.testing.assert_allclose(equalize(d, kappa), equalize_by_sort(d, kappa),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, lag_bins", [(3, 10), (0, 5), (7, 1), (1, 1)])
+    @pytest.mark.parametrize("kappa", [0.1, 0.37, 0.5, 0.9, np.nextafter(1.0, 0.0)])
+    def test_edge_shapes(self, rng, n, lag_bins, kappa):
+        d = rng.uniform(0.0, 5.0, (n, lag_bins))
+        if n:
+            d[0] = 0.0
+        assert np.array_equal(equalize(d, kappa), equalize_by_quantile(d, kappa))
 
 
 class TestRecurrence:
