@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
+from .serialize import atomic_write
 
 # Boundaries closer than this are considered duplicates.
 DUPLICATE_EPS = 1e-9
@@ -104,7 +105,7 @@ def write_functions_file(path, boundaries: BoundarySet) -> None:
     lines = ["0.0\tstart"]
     for i, t in enumerate(boundaries):
         lines.append(f"{float(t)!r}\tsegment{i + 1}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -126,7 +127,7 @@ def read_boundary_file(path) -> BoundarySet:
 
 
 def write_boundary_file(path, boundaries: BoundarySet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for t in boundaries:
             fh.write(f"{float(t)!r}\n")
 
@@ -189,7 +190,7 @@ def split_dataset(track_ids, seed: int) -> DatasetSplit:
 
 def save_split_manifest(path, split: DatasetSplit) -> None:
     """Write ``track_id<TAB>{train|val|test}`` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for name, ids in (("train", split.train), ("val", split.validation),
                           ("test", split.test)):
             for tid in ids:

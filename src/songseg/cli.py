@@ -328,10 +328,11 @@ def cmd_evaluate(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         for rep in reports:
             name = f"scores_tol{rep.tolerance:g}_beta{rep.beta:g}.csv"
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            with serialize.atomic_write(os.path.join(out_dir, name), "w",
+                                        encoding="utf-8") as fh:
                 fh.write("\n".join(evaluation.report_csv_lines(rep, common)) + "\n")
-        with open(os.path.join(out_dir, "scores_table.txt"), "w",
-                  encoding="utf-8") as fh:
+        with serialize.atomic_write(os.path.join(out_dir, "scores_table.txt"), "w",
+                                    encoding="utf-8") as fh:
             fh.write(table + "\n")
     return 0
 

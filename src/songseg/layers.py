@@ -19,17 +19,15 @@ def _check_tensor4(x) -> np.ndarray:
     return x
 
 
-def _gather_indices(kh, kw, h_out, w_out, stride, dilation):
-    """Row/col index grids mapping padded input positions to output patches."""
+def _taps(kh, kw, h_out, w_out, stride, dilation):
+    """Per kernel tap, row-major, the strided (rows, cols) slices of the padded
+    input it reads: im2col, col2im and the pooling maximum loop over taps.
+    """
     sh, sw = stride
     dh, dw = dilation
-    i0 = np.repeat(dh * np.arange(kh), kw)
-    j0 = np.tile(dw * np.arange(kw), kh)
-    i1 = sh * np.repeat(np.arange(h_out), w_out)
-    j1 = sw * np.tile(np.arange(w_out), h_out)
-    rows = i0[:, None] + i1[None, :]
-    cols = j0[:, None] + j1[None, :]
-    return rows, cols
+    return [(slice(i * dh, i * dh + sh * (h_out - 1) + 1, sh),
+             slice(j * dw, j * dw + sw * (w_out - 1) + 1, sw))
+            for i in range(kh) for j in range(kw)]
 
 
 def conv_output_size(size, kernel, stride, pad, dilation) -> int:
@@ -52,69 +50,71 @@ def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1))
         raise ValueError("input too small for this kernel/stride/padding")
 
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    rows, cols = _gather_indices(kh, kw, h_out, w_out, stride, dilation)
-    patches = xp[0][:, rows, cols].reshape(c * kh * kw, h_out * w_out)
-    y = (w.reshape(out_ch, -1) @ patches + b[:, None]).reshape(1, out_ch, h_out, w_out)
-    cache = (patches, rows, cols, x.shape, xp.shape, w, pad)
-    return y, cache
+    taps = _taps(kh, kw, h_out, w_out, stride, dilation)
+    # One tap: column-major, the layout an index gather gives, since BLAS
+    # rounds a matrix-vector product differently for the two layouts.
+    patches = (np.empty((c, len(taps), h_out, w_out)) if len(taps) > 1
+               else np.empty((1, h_out, w_out, c)).transpose(3, 0, 1, 2))
+    for t, (rows, cols) in enumerate(taps):
+        patches[:, t] = xp[0, :, rows, cols]
+    y = w.reshape(out_ch, -1) @ patches.reshape(-1, h_out * w_out) + b[:, None]
+    cache = (patches, taps, xp.shape, w, np.s_[:, :, ph : ph + h, pw : pw + wid])
+    return y.reshape(1, out_ch, h_out, w_out), cache
 
 
 def conv2d_backward(grad_out, cache):
     """Gradients w.r.t. input, weights and bias."""
-    patches, rows, cols, x_shape, xp_shape, w, pad = cache
+    patches, taps, xp_shape, w, crop = cache
     out_ch = w.shape[0]
     g = np.asarray(grad_out, dtype=np.float64).reshape(out_ch, -1)
     grad_b = g.sum(axis=1)
-    grad_w = (g @ patches.T).reshape(w.shape)
-
-    grad_patches = (w.reshape(out_ch, -1).T @ g).reshape(
-        x_shape[1], rows.shape[0], rows.shape[1]
-    )
+    grad_w = (g @ patches.reshape(-1, g.shape[1]).T).reshape(w.shape)
+    grad_patches = (w.reshape(out_ch, -1).T @ g).reshape(patches.shape)
     grad_xp = np.zeros(xp_shape)
-    chans = np.arange(x_shape[1])[:, None, None]
-    np.add.at(grad_xp[0], (chans, rows[None], cols[None]), grad_patches)
-    ph, pw = pad
-    h, wid = x_shape[2], x_shape[3]
-    grad_x = grad_xp[:, :, ph : ph + h, pw : pw + wid]
-    return grad_x, grad_w, grad_b
+    for t, (rows, cols) in enumerate(taps):  # tap order fixes the summation order
+        grad_xp[0, :, rows, cols] += grad_patches[:, t]
+    return grad_xp[crop], grad_w, grad_b
 
 
 def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1)):
-    """Max pooling; padded positions hold -inf and are never selected."""
+    """Max pooling over -inf padding; as with ``argmax``, the first maximum
+    (or NaN) in row-major window order wins.
+    """
     x = _check_tensor4(x)
     _, c, h, wid = x.shape
-    kh, kw = kernel
-    ph, pw = pad
+    (kh, kw), (ph, pw) = kernel, pad
     h_out = conv_output_size(h, kh, stride[0], ph, 1)
     w_out = conv_output_size(wid, kw, stride[1], pw, 1)
     if h_out <= 0 or w_out <= 0:
         raise ValueError("input too small to pool")
 
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    rows, cols = _gather_indices(kh, kw, h_out, w_out, stride, (1, 1))
-    windows = xp[0][:, rows, cols]  # (C, kh*kw, L)
-    arg = windows.argmax(axis=1)
-    y = np.take_along_axis(windows, arg[:, None, :], axis=1)[:, 0, :]
-    y = y.reshape(1, c, h_out, w_out)
-    cache = (arg, rows, cols, x.shape, xp.shape, pad)
-    return y, cache
+    taps = _taps(kh, kw, h_out, w_out, stride, (1, 1))
+    y = xp[0, :, taps[0][0], taps[0][1]]
+    arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    has_nan = np.isnan(x).any()
+    for t, (rows, cols) in enumerate(taps[1:], start=1):
+        tap = xp[0, :, rows, cols]
+        wins = tap > y
+        if has_nan:
+            wins |= np.isnan(tap) & ~np.isnan(y)
+        y = np.where(wins, tap, y)
+        arg = np.where(wins, arg.dtype.type(t), arg)
+    cache = (arg, kw, stride, xp.shape, np.s_[:, :, ph : ph + h, pw : pw + wid])
+    return np.ascontiguousarray(y)[None], cache
 
 
 def maxpool2d_backward(grad_out, cache):
     """Route each output gradient to the input position that won the max."""
-    arg, rows, cols, x_shape, xp_shape, pad = cache
-    c = x_shape[1]
-    n_out = rows.shape[1]
-    g = np.asarray(grad_out, dtype=np.float64).reshape(c, n_out)
-    sel = np.arange(n_out)[None, :]
-    rows_sel = rows[arg, sel]
-    cols_sel = cols[arg, sel]
-    grad_xp = np.zeros(xp_shape)
-    chans = np.arange(c)[:, None]
-    np.add.at(grad_xp[0], (chans, rows_sel, cols_sel), g)
-    ph, pw = pad
-    h, wid = x_shape[2], x_shape[3]
-    return grad_xp[:, :, ph : ph + h, pw : pw + wid]
+    arg, kw, (sh, sw), xp_shape, crop = cache
+    c, h_out, w_out = arg.shape
+    rows = sh * np.arange(h_out)[:, None] + arg // kw
+    cols = sw * np.arange(w_out) + arg % kw
+    flat = (np.arange(c)[:, None, None] * xp_shape[2] + rows) * xp_shape[3] + cols
+    g = np.asarray(grad_out, dtype=np.float64).ravel()
+    # bincount sums the gradients of one position in increasing output order
+    grad_xp = np.bincount(flat.ravel(), weights=g, minlength=np.prod(xp_shape))
+    return grad_xp.reshape(xp_shape)[crop]
 
 
 def leaky_relu_forward(x, slope=0.01):

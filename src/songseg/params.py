@@ -141,7 +141,9 @@ class RunConfig:
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        from .serialize import atomic_write  # serialize imports this module
+
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(self.canonical_lines()) + "\n")
 
     @classmethod
@@ -163,9 +165,12 @@ class RunConfig:
     def from_mapping(cls, raw: dict, where: dict = None) -> "RunConfig":
         """Parse ``canonical_lines`` keys; an unknown key raises FormatError.
 
-        A value that does not parse as its field's type raises FormatError
-        naming the key, prefixed by ``where[key]`` (a ``file:line: ``
-        location) when given.
+        A value that does not parse as its field's type, or parses but is
+        rejected by validation, raises FormatError naming the key, prefixed
+        by ``where[key]`` (a ``file:line: `` location) when given.  A
+        rejected configuration blames the first key whose value alone, over
+        the defaults, is rejected with the same message; when there is none
+        the ValueError is raised as is.
         """
         pp_types = {f.name: f.type for f in fields(PipelineParams)}
         run_types = {f.name: f.type for f in _RUN_FIELDS}
@@ -173,18 +178,32 @@ class RunConfig:
         if unknown:
             raise FormatError(f"unknown config key(s): {', '.join(unknown)}")
 
+        def loc(key):
+            return (where or {}).get(key, "")
+
         def parse(key, type_name):
             try:
                 return _parse(raw[key], type_name)
             except ValueError:
-                loc = (where or {}).get(key, "")
-                raise FormatError(f"{loc}{key} = {raw[key]!r} is not a valid "
+                raise FormatError(f"{loc(key)}{key} = {raw[key]!r} is not a valid "
                                   f"{type_name}") from None
 
-        params = PipelineParams(**{k: parse(k, pp_types[k])
-                                   for k in raw if k in pp_types})
-        return cls(params=params, **{k: parse(k, run_types[k])
-                                     for k in raw if k in run_types})
+        def build(values):
+            params = PipelineParams(**{k: v for k, v in values.items() if k in pp_types})
+            return cls(params=params, **{k: v for k, v in values.items() if k in run_types})
+
+        values = {k: parse(k, pp_types.get(k) or run_types[k]) for k in raw}
+        try:
+            return build(values)
+        except ValueError as exc:
+            for key in values:
+                try:
+                    build({key: values[key]})
+                except ValueError as alone:
+                    if str(alone) == str(exc):
+                        raise FormatError(
+                            f"{loc(key)}{key} = {raw[key]!r}: {exc}") from None
+            raise
 
 
 # RunConfig fields other than the nested ``params``.

@@ -15,6 +15,7 @@ import numpy as np
 from .annotations import BoundarySet
 from .evaluation import score_corpus
 from .layers import sigmoid
+from .serialize import atomic_write
 
 SUPPRESSION_SECONDS = 6.0
 SWEEP_STEP = 0.005
@@ -61,8 +62,10 @@ def pick_peaks(curve: PredictionCurve, threshold: float) -> BoundarySet:
 
     Candidates are processed strongest-first (ties: earlier frame wins) and
     accepted only when no already-accepted peak lies within six seconds.
-    Accepted frames convert to seconds relative to the padding offset;
-    negative times are dropped.
+    A weaker candidate never displaces a stronger one, so the peaks kept at
+    a higher threshold are exactly those kept at a lower one whose
+    probability reaches it.  Accepted frames convert to seconds relative to
+    the padding offset; negative times are dropped.
     """
     candidates = [f for f in _peak_frames(curve.probs)
                   if curve.probs[f] >= threshold]
@@ -90,16 +93,32 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
     ``pairs`` is a list of ``(PredictionCurve, BoundarySet)`` items.  Returns
     ``(best_threshold, rows)`` where rows hold mean precision/recall/F per
     threshold; ties on F go to the smallest threshold.
+
+    Peaks are picked once per curve at threshold 0; each threshold keeps
+    those whose probability reaches it, which is what :func:`pick_peaks`
+    returns at that threshold.  The kept peaks change at few thresholds, so
+    each distinct selection is scored once.
     """
     if not pairs:
         raise ValueError("need at least one (curve, reference) pair")
+    picked = []
+    for curve, ref in pairs:
+        peaks = pick_peaks(curve, 0.0)
+        # each peak's frame, recovered from its time, gives its probability
+        frames = np.rint(peaks.times * curve.frame_rate).astype(int) + curve.pad_frames
+        picked.append((ref, peaks.times, curve.probs[frames]))
     n_steps = int(round(1.0 / SWEEP_STEP))
     rows = []
     best_threshold, best_f = 0.0, -1.0
+    reports = {}  # by the number of peaks each curve keeps
     for i in range(n_steps + 1):
         threshold = i * SWEEP_STEP
-        scored = [(ref, pick_peaks(curve, threshold)) for curve, ref in pairs]
-        report = score_corpus(scored, tolerance=tolerance, beta=beta)
+        kept = tuple(np.count_nonzero(probs >= threshold) for _, _, probs in picked)
+        if kept not in reports:
+            scored = [(ref, BoundarySet(times[probs >= threshold]))
+                      for ref, times, probs in picked]
+            reports[kept] = score_corpus(scored, tolerance=tolerance, beta=beta)
+        report = reports[kept]
         rows.append(SweepRow(threshold, report.mean_precision,
                              report.mean_recall, report.mean_f))
         if report.mean_f > best_f:
@@ -109,7 +128,7 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
 
 
 def write_sweep_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("threshold,precision,recall,f_beta\n")
         for r in rows:
             fh.write(f"{r.threshold:.3f},{r.precision:.6f},"

@@ -17,6 +17,9 @@ from .errors import InputTooShortError
 from .params import PipelineParams
 
 FEATURE_KINDS = ("stft_mag", "mls", "chroma", "sslm", "net_input")
+# Frames windowed and transformed per step of the STFT: bounds its
+# temporaries to a few MB instead of several copies of the whole signal.
+STFT_BLOCK_FRAMES = 128
 
 
 @dataclass
@@ -61,12 +64,17 @@ def stft_magnitude(audio: AudioBuffer, params: PipelineParams) -> FeatureMatrix:
         raise InputTooShortError(
             f"need at least {params.window} samples for one window, got {n}"
         )
-    n_frames = (n - params.window) // params.hop + 1
-    idx = np.arange(params.window)[None, :] + params.hop * np.arange(n_frames)[:, None]
-    frames = audio.samples[idx] * np.hanning(params.window)
-    mag = np.abs(np.fft.rfft(frames, axis=1)).T
+    frames = np.lib.stride_tricks.sliding_window_view(audio.samples, params.window)
+    frames = frames[:: params.hop]
+    hann = np.hanning(params.window)
+    # Filled frame-major and returned transposed, so the mel and chroma
+    # products see the layout they always had (BLAS rounding depends on it).
+    mag = np.empty((frames.shape[0], params.window // 2 + 1))
+    for start in range(0, frames.shape[0], STFT_BLOCK_FRAMES):
+        block = frames[start : start + STFT_BLOCK_FRAMES] * hann
+        np.abs(np.fft.rfft(block, axis=1), out=mag[start : start + STFT_BLOCK_FRAMES])
     return FeatureMatrix(
-        values=mag,
+        values=mag.T,
         hop_seconds=params.base_hop_seconds,
         kind="stft_mag",
     )

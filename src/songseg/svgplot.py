@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .serialize import atomic_write
+
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 50
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
@@ -65,5 +67,5 @@ def line_plot(series, title="", xlabel="", ylabel="") -> str:
 
 
 def save_line_plot(path, series, title="", xlabel="", ylabel="") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(line_plot(series, title=title, xlabel=xlabel, ylabel=ylabel))

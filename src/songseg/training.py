@@ -14,6 +14,7 @@ from .model import BoundaryNet
 from .optim import AdamState, adam_step, init_adam
 from .params import DEFAULT_MLS_THRESHOLD
 from .postprocess import from_logits, pick_peaks
+from .serialize import atomic_write
 
 
 @dataclass
@@ -131,7 +132,7 @@ def train(
 
 
 def write_log_csv(path, log) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,split,loss,precision,recall,f1\n")
         for row in log:
             fh.write(f"{row.epoch},{row.split},{row.loss!r},"

@@ -8,8 +8,9 @@ Everything here recomputes a production quantity through a different route:
 definitional DFT/DCT summations, the full self-similarity matrix with lag
 extraction (instead of direct per-lag distances), sort-and-interpolate
 and ``np.quantile`` quantiles, scipy distance/sigmoid primitives, central finite differences,
-and exhaustive boundary matching.  None of it shares code with the
-production paths it checks.
+exhaustive boundary matching, and index-gather/``np.add.at`` convolution,
+pooling and STFT framing (instead of strided slices).  None of it shares
+code with the production paths it checks.
 """
 
 from dataclasses import dataclass
@@ -389,6 +390,92 @@ def front_end_series(audio, config):
     else:
         series = chroma_features(chroma_project(pooled, p))
     return stack_frames(series, p.stacking)
+
+
+def _gather_indices(kh, kw, h_out, w_out, stride, dilation):
+    """Row/col index grids mapping padded input positions to output patches."""
+    sh, sw = stride
+    dh, dw = dilation
+    i0 = np.repeat(dh * np.arange(kh), kw)
+    j0 = np.tile(dw * np.arange(kw), kh)
+    i1 = sh * np.repeat(np.arange(h_out), w_out)
+    j1 = sw * np.tile(np.arange(w_out), h_out)
+    return i0[:, None] + i1[None, :], j0[:, None] + j1[None, :]
+
+
+def _out_size(size, kernel, stride, pad, dilation):
+    return (size + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
+
+
+def conv2d_by_gather(x, weights, bias, stride, pad, dilation):
+    """Convolution through a fancy-index im2col and an ``np.add.at`` col2im.
+
+    Returns ``(y, grad_fn)``; ``grad_fn(grad_out)`` gives the input, weight
+    and bias gradients.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    _, c, h, wid = x.shape
+    out_ch, _, kh, kw = w.shape
+    (ph, pw), (sh, sw), (dh, dw) = pad, stride, dilation
+    h_out = _out_size(h, kh, sh, ph, dh)
+    w_out = _out_size(wid, kw, sw, pw, dw)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    rows, cols = _gather_indices(kh, kw, h_out, w_out, stride, dilation)
+    patches = xp[0][:, rows, cols].reshape(c * kh * kw, h_out * w_out)
+    w2 = w.reshape(out_ch, -1)
+    y = (w2 @ patches + np.asarray(bias, dtype=np.float64)[:, None])
+    y = y.reshape(1, out_ch, h_out, w_out)
+
+    def grad_fn(grad_out):
+        g = np.asarray(grad_out, dtype=np.float64).reshape(out_ch, -1)
+        grad_patches = (w2.T @ g).reshape(c, *rows.shape)
+        grad_xp = np.zeros(xp.shape)
+        chans = np.arange(c)[:, None, None]
+        np.add.at(grad_xp[0], (chans, rows[None], cols[None]), grad_patches)
+        grad_x = grad_xp[:, :, ph:ph + h, pw:pw + wid]
+        return grad_x, (g @ patches.T).reshape(w.shape), g.sum(axis=1)
+
+    return y, grad_fn
+
+
+def maxpool2d_by_gather(x, kernel, stride, pad):
+    """Max pooling through a gathered window tensor and ``argmax``.
+
+    Returns ``(y, grad_fn)``; ``grad_fn(grad_out)`` routes each output
+    gradient to the first (row-major) window position holding the maximum,
+    accumulating with ``np.add.at``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _, c, h, wid = x.shape
+    (kh, kw), (ph, pw) = kernel, pad
+    h_out = _out_size(h, kh, stride[0], ph, 1)
+    w_out = _out_size(wid, kw, stride[1], pw, 1)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    rows, cols = _gather_indices(kh, kw, h_out, w_out, stride, (1, 1))
+    windows = xp[0][:, rows, cols]
+    arg = windows.argmax(axis=1)
+    y = np.take_along_axis(windows, arg[:, None, :], axis=1)[:, 0, :]
+    y = y.reshape(1, c, h_out, w_out)
+
+    def grad_fn(grad_out):
+        n_out = rows.shape[1]
+        g = np.asarray(grad_out, dtype=np.float64).reshape(c, n_out)
+        sel = np.arange(n_out)[None, :]
+        grad_xp = np.zeros(xp.shape)
+        np.add.at(grad_xp[0], (np.arange(c)[:, None], rows[arg, sel], cols[arg, sel]), g)
+        return grad_xp[:, :, ph:ph + h, pw:pw + wid]
+
+    return y, grad_fn
+
+
+def stft_by_gather(samples, window: int, hop: int) -> np.ndarray:
+    """Hann-windowed STFT magnitude ``(bins, frames)`` from an index-gathered frame copy."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n_frames = (samples.size - window) // hop + 1
+    idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
+    frames = samples[idx] * np.hanning(window)
+    return np.abs(np.fft.rfft(frames, axis=1)).T
 
 
 def format_tap(reports) -> str:

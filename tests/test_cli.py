@@ -149,6 +149,19 @@ def test_malformed_config_value_exits_1(workspace, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_rejected_config_value_exits_1(workspace, tmp_path, capsys):
+    data, feats = workspace["data"], workspace["feats"]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs = 3\npooling = pool7\n")
+    assert main(["train", "--config", str(cfg), "--features", str(feats),
+                 "--refs", str(data / "refs"),
+                 "--split", str(workspace["root"] / "all_train.tsv"),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{cfg}:2: pooling = 'pool7'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_train_rejects_features_of_another_config(workspace, tmp_path, capsys):
     data, feats = workspace["data"], workspace["feats"]
     cfg = tmp_path / "fmin100.cfg"

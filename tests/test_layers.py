@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from songseg import layers
+from songseg import layers, model
 
-from oracles import finite_difference, relative_error
+from oracles import (conv2d_by_gather, finite_difference, maxpool2d_by_gather,
+                     relative_error)
 
 GRAD_TOL = 1e-4
 
@@ -183,3 +187,86 @@ class TestBceWithLogits:
             return out
 
         assert relative_error(grad, finite_difference(loss, z)) < GRAD_TOL
+
+
+# Values on a coarse grid so that ties, plateaus and signed zeros are common.
+_GRID = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.0, -3.25])
+_VALUES = _GRID | st.floats(-4.0, 4.0, allow_nan=False, width=64)
+
+
+@st.composite
+def _geometry(draw, max_dilation):
+    """Kernel, stride, pad, dilation and an input size with at least one output."""
+    kernel = (draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    pad = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    dilation = (draw(st.integers(1, max_dilation)), draw(st.integers(1, max_dilation)))
+    size = tuple(draw(st.integers(max(1, d * (k - 1) + 1 - 2 * p), 11))
+                 for k, p, d in zip(kernel, pad, dilation))
+    return kernel, stride, pad, dilation, size
+
+
+def _assert_conv_matches_gather(x, w, b, stride, pad, dilation, grad_seed):
+    y, cache = layers.conv2d_forward(x, w, b, stride, pad, dilation)
+    y_ref, grad_ref = conv2d_by_gather(x, w, b, stride, pad, dilation)
+    assert np.array_equal(y, y_ref)
+    upstream = np.random.default_rng(grad_seed).standard_normal(y.shape)
+    for got, want in zip(layers.conv2d_backward(upstream, cache), grad_ref(upstream)):
+        assert np.array_equal(got, want)
+
+
+def _assert_pool_matches_gather(x, kernel, stride, pad, grad_seed):
+    y, cache = layers.maxpool2d_forward(x, kernel, stride, pad)
+    y_ref, grad_ref = maxpool2d_by_gather(x, kernel, stride, pad)
+    assert np.array_equal(y, y_ref, equal_nan=True)
+    assert np.array_equal(np.signbit(y), np.signbit(y_ref))
+    upstream = np.random.default_rng(grad_seed).standard_normal(y.shape)
+    assert np.array_equal(layers.maxpool2d_backward(upstream, cache),
+                          grad_ref(upstream))
+
+
+class TestBitIdenticalToGatherScatter:
+    """Strided-slice kernels against the index-gather / ``np.add.at`` references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), geometry=_geometry(max_dilation=3),
+           channels=st.integers(1, 3), maps=st.integers(1, 3))
+    def test_conv_any_geometry(self, data, geometry, channels, maps):
+        kernel, stride, pad, dilation, (h, w) = geometry
+        x = data.draw(arrays(np.float64, (1, channels, h, w), elements=_VALUES))
+        weights = data.draw(arrays(np.float64, (maps, channels, *kernel),
+                                   elements=_VALUES))
+        bias = data.draw(arrays(np.float64, maps, elements=_VALUES))
+        _assert_conv_matches_gather(x, weights, bias, stride, pad, dilation,
+                                    data.draw(st.integers(0, 2**32 - 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), geometry=_geometry(max_dilation=1),
+           channels=st.integers(1, 3))
+    def test_pool_ties_plateaus_and_padding(self, data, geometry, channels):
+        kernel, stride, pad, _, (h, w) = geometry
+        # -inf inputs tie with the padding; NaN counts as the maximum.
+        elements = _GRID | st.sampled_from([-np.inf, np.nan])
+        x = data.draw(arrays(np.float64, (1, channels, h, w), elements=elements))
+        _assert_pool_matches_gather(x, kernel, stride, pad,
+                                    data.draw(st.integers(0, 2**32 - 1)))
+
+    @pytest.mark.parametrize("spec, shape", [
+        (model.CONV1, (1, 1, 20, 33)),
+        (model.CONV2, (1, 32, 4, 33)),
+        (model.CONV3, (1, 256, 1, 33)),
+        (model.CONV4, (1, 128, 1, 33)),
+    ])
+    def test_model_convolutions(self, rng, spec, shape):
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((spec["maps"], shape[1], *spec["kernel"]))
+        b = rng.standard_normal(spec["maps"])
+        _assert_conv_matches_gather(x, w, b, spec["stride"], spec["pad"],
+                                    spec["dilation"], grad_seed=1)
+
+    def test_model_pool_on_rectified_input(self, rng):
+        # leaky-ReLU output of a zero-padded convolution: plateaus of zeros
+        x = np.maximum(rng.standard_normal((1, 32, 20, 33)), 0.0)
+        x[..., :4] = 0.0
+        _assert_pool_matches_gather(x, model.POOL["kernel"], model.POOL["stride"],
+                                    model.POOL["pad"], grad_seed=2)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from songseg.annotations import BoundarySet
-from songseg.postprocess import (PredictionCurve, from_logits, pick_peaks,
-                                 sweep_threshold, write_sweep_csv)
+from songseg.evaluation import score_corpus
+from songseg.postprocess import (SUPPRESSION_SECONDS, SWEEP_STEP, PredictionCurve,
+                                 SweepRow, from_logits, pick_peaks, sweep_threshold,
+                                 write_sweep_csv)
 
 FRAME_RATE = 44100 / (1024 * 6)
 GAMMA = 50
@@ -135,3 +140,42 @@ class TestSweepThreshold:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "threshold,precision,recall,f_beta"
         assert len(lines) == 202
+
+
+# Probability curves from a few levels, so plateaus and equal peaks abound.
+_plateau_curves = st.tuples(
+    arrays(np.float64, st.integers(1, 160),
+           elements=st.sampled_from([0.0, 0.1, 0.2, 0.205, 0.5, 0.5, 0.9, 1.0])),
+    st.sampled_from([FRAME_RATE, 1.3, 20.0]),
+    st.integers(0, 60),
+).map(lambda t: _curve(*t))
+
+
+class TestPeakProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(curve=_plateau_curves, threshold=st.floats(0.0, 1.0))
+    def test_accepted_peaks_reach_threshold_and_keep_their_distance(
+            self, curve, threshold):
+        times = pick_peaks(curve, threshold).times
+        frames = np.rint(times * curve.frame_rate).astype(int) + curve.pad_frames
+        assert np.all(curve.probs[frames] >= threshold)
+        assert np.all(np.diff(times) >= SUPPRESSION_SECONDS - 1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(curves=st.lists(_plateau_curves, min_size=1, max_size=3),
+           refs=st.lists(st.floats(0.0, 30.0), max_size=5),
+           tolerance=st.sampled_from([0.5, 3.0]))
+    def test_sweep_equals_pick_peaks_at_every_threshold(self, curves, refs, tolerance):
+        pairs = [(curve, BoundarySet(refs)) for curve in curves]
+        best, rows = sweep_threshold(pairs, tolerance=tolerance)
+        want, best_f = [], -1.0
+        for i in range(int(round(1.0 / SWEEP_STEP)) + 1):
+            threshold = i * SWEEP_STEP
+            report = score_corpus([(ref, pick_peaks(curve, threshold))
+                                   for curve, ref in pairs], tolerance=tolerance)
+            want.append(SweepRow(threshold, report.mean_precision,
+                                 report.mean_recall, report.mean_f))
+            if report.mean_f > best_f:
+                best_f, want_best = report.mean_f, threshold
+        assert rows == want
+        assert best == want_best

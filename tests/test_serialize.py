@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from songseg import annotations as ann
 from songseg.annotations import BoundarySet, TargetCurve
 from songseg.errors import CompatibilityError, FormatError
 from songseg.model import BoundaryNet
@@ -14,7 +15,9 @@ from songseg import serialize
 from songseg.serialize import (load_checkpoint, load_matrix, save_checkpoint,
                                save_matrix)
 from songseg.spectral import FeatureMatrix
-from songseg.training import TrackExample, train
+from songseg.postprocess import SweepRow, write_sweep_csv
+from songseg.svgplot import save_line_plot
+from songseg.training import EpochStats, TrackExample, train, write_log_csv
 
 
 def _roundtrip_matrix(tmp_path, m):
@@ -189,6 +192,44 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == ["m.mat"]
 
 
+class _DiskFull(_FailAfterFirstWrite):
+    """File wrapper whose first ``write`` already raises."""
+
+    def write(self, data):
+        raise OSError("disk full")
+
+
+# Text artifacts by file name: a writer taking (path, version).
+_TEXT_WRITERS = {
+    "ref.txt": lambda path, v: ann.write_functions_file(path, BoundarySet([v, 9.0])),
+    "est.txt": lambda path, v: ann.write_boundary_file(path, BoundarySet([v, 9.0])),
+    "split.tsv": lambda path, v: ann.save_split_manifest(
+        path, ann.DatasetSplit(train=[f"t{v}"])),
+    "log.csv": lambda path, v: write_log_csv(
+        path, [EpochStats(v, "train", 0.5, 1.0, 1.0, 1.0)]),
+    "sweep.csv": lambda path, v: write_sweep_csv(path, [SweepRow(0.0, v, 0.0, 0.0)]),
+    "plot.svg": lambda path, v: save_line_plot(path, {"f": ([0.0, 1.0], [0.0, 1.0])},
+                                               title=str(v)),
+    "run.cfg": lambda path, v: RunConfig(epochs=v).to_file(path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TEXT_WRITERS))
+def test_failed_text_write_keeps_previous_file(tmp_path, monkeypatch, name):
+    write, path = _TEXT_WRITERS[name], tmp_path / name
+    write(path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(serialize, "open", raising=False,
+                        value=lambda p, mode, **kw: _DiskFull(builtins.open(p, mode, **kw)))
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [name]
+    write(path, 2)
+    assert path.read_bytes() != before
+
+
 class TestRunConfigHash:
     def test_training_knobs_do_not_change_hash(self):
         a = RunConfig(epochs=10, seed=1)
@@ -247,6 +288,19 @@ class TestRunConfigHash:
             RunConfig.from_mapping({"include_mls": "maybe"})
         with pytest.raises(FormatError, match="quantile"):
             RunConfig.from_mapping({"quantile": "tenth"})
+
+    @pytest.mark.parametrize("line, message", [
+        ("pooling = pool7", "unknown pooling strategy"),
+        ("sslm_inputs = mfcc-cosine,mfcc-cosine", "duplicate SSLM variant"),
+        ("quantile = 1.5", "quantile must lie in"),
+    ])
+    def test_rejected_value_names_key_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"epochs = 3\n{line}\n")
+        key, value = line.split(" = ")
+        with pytest.raises(FormatError,
+                           match=rf"run\.cfg:2: {key} = '{value}': {message}"):
+            RunConfig.from_file(path)
 
     def test_sslm_inputs_stored_in_canonical_order(self, tmp_path):
         run = RunConfig(sslm_inputs=("chroma-cosine", "mfcc-cosine"))

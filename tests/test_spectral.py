@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from songseg import spectral
 from songseg.audio import AudioBuffer
 from songseg.errors import InputTooShortError
+from songseg.params import PipelineParams
 from songseg.spectral import (FeatureMatrix, chroma_project, max_pool_time,
                               mel_log_spectrogram, stft_magnitude)
 
 from conftest import random_audio
-from oracles import dft_direct
+from oracles import dft_direct, stft_by_gather
 
 
 def _tone(freq, seconds, sr=44100, amp=0.5):
@@ -52,6 +56,28 @@ class TestStft:
     def test_frame_count(self, params):
         buf = AudioBuffer(np.zeros(44100), params.sr)
         assert stft_magnitude(buf, params).n_frames == 42
+
+    @settings(max_examples=30, deadline=None)
+    @given(frames=st.integers(1, 3 * spectral.STFT_BLOCK_FRAMES + 1),
+           tail=st.integers(0, 1023), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_index_gather(self, frames, tail, seed):
+        # frame counts around and between block boundaries, ragged tails
+        params = PipelineParams()
+        n = params.window + (frames - 1) * params.hop + tail
+        samples = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        out = stft_magnitude(AudioBuffer(samples, params.sr), params).values
+        ref = stft_by_gather(samples, params.window, params.hop)
+        assert np.array_equal(out, ref)
+        # same memory layout, so BLAS products downstream round the same way
+        assert out.strides == ref.strides
+
+    @pytest.mark.parametrize("extra", [0, 1, 1023])
+    def test_one_frame_at_window_length(self, params, extra):
+        samples = np.random.default_rng(extra).uniform(-1.0, 1.0, params.window + extra)
+        out = stft_magnitude(AudioBuffer(samples, params.sr), params)
+        assert out.n_frames == 1
+        assert np.array_equal(out.values, stft_by_gather(samples, params.window,
+                                                         params.hop))
 
     def test_too_short(self, params):
         with pytest.raises(InputTooShortError):
