@@ -201,8 +201,8 @@ def _geometry(draw, max_dilation):
     stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     pad = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
     dilation = (draw(st.integers(1, max_dilation)), draw(st.integers(1, max_dilation)))
-    size = tuple(draw(st.integers(max(1, d * (k - 1) + 1 - 2 * p), 11))
-                 for k, p, d in zip(kernel, pad, dilation))
+    lows = [max(1, d * (k - 1) + 1 - 2 * p) for k, p, d in zip(kernel, pad, dilation)]
+    size = tuple(draw(st.integers(low, max(low, 11))) for low in lows)
     return kernel, stride, pad, dilation, size
 
 
