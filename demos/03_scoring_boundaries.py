@@ -42,4 +42,4 @@ corpus = [
 reports = [score_corpus(corpus, tolerance=0.5, beta=beta)
            for beta in (1.0, 0.58)]
 print("\nper-track F1:", [round(f, 3) for _, _, f in reports[0].per_track])
-print(format_score_table(reports, ["demo corpus", "demo corpus"]))
+print(format_score_table(reports, "demo corpus"))

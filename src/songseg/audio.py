@@ -98,25 +98,19 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples=samples, sample_rate=sample_rate)
 
 
-def write_wav(path, audio: AudioBuffer, bits: int = 16) -> None:
-    """Write a mono AudioBuffer as 16-bit PCM or 32-bit float WAV."""
-    if bits == 16:
-        fmt_code, block = 1, 2
-        clipped = np.clip(np.round(audio.samples * 32768.0), -32768, 32767)
-        payload = clipped.astype("<i2").tobytes()
-    elif bits == 32:
-        fmt_code, block = 3, 4
-        payload = audio.samples.astype("<f4").tobytes()
-    else:
-        raise ValueError("bits must be 16 or 32")
+def write_wav(path, audio: AudioBuffer) -> None:
+    """Write a mono AudioBuffer as a 16-bit PCM WAV, replacing ``path`` atomically."""
+    from .serialize import atomic_write  # serialize imports this module via spectral
 
+    clipped = np.clip(np.round(audio.samples * 32768.0), -32768, 32767)
+    payload = clipped.astype("<i2").tobytes()
     sr = audio.sample_rate
     header = b"".join([
         b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVE",
-        b"fmt ", struct.pack("<IHHIIHH", 16, fmt_code, 1, sr, sr * block, block, bits),
+        b"fmt ", struct.pack("<IHHIIHH", 16, 1, 1, sr, sr * 2, 2, 16),
         b"data", struct.pack("<I", len(payload)),
     ])
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + payload)
 
 

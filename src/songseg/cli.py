@@ -9,6 +9,7 @@ back to ``SONGSEG_*`` environment variables where noted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from . import evaluation, pipeline, postprocess, serialize, training
 from .audio import write_wav
 from .errors import CompatibilityError
 from .model import BoundaryNet
-from .params import RunConfig, path_from_env
+from .params import RunConfig
 from .svgplot import save_line_plot
 from .synth import synth_corpus
 
@@ -53,10 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract network input matrices")
     p.add_argument("--config", required=True)
-    p.add_argument("--audio-dir", default=None,
-                   help="directory of WAV files (env SONGSEG_AUDIO_DIR)")
-    p.add_argument("--out", default=None,
-                   help="matrix output directory (env SONGSEG_FEATURES_DIR)")
+    _path(p, "--audio-dir", "SONGSEG_AUDIO_DIR", "directory of WAV files")
+    _path(p, "--out", "SONGSEG_FEATURES_DIR", "matrix output directory")
     p.add_argument("--force", action="store_true",
                    help="recompute even when outputs are up to date")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
@@ -64,17 +63,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the boundary detector")
     p.add_argument("--config", required=True)
-    p.add_argument("--features", default=None, help="env SONGSEG_FEATURES_DIR")
-    p.add_argument("--refs", default=None,
-                   help="boundary annotation directory (env SONGSEG_REFS_DIR)")
+    _path(p, "--features", "SONGSEG_FEATURES_DIR")
+    _path(p, "--refs", "SONGSEG_REFS_DIR", "boundary annotation directory")
     p.add_argument("--split", required=True, help="split manifest file")
-    p.add_argument("--out", default=None, help="env SONGSEG_OUT_DIR")
+    _path(p, "--out", "SONGSEG_OUT_DIR", default=".")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict boundaries for one track")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", default=None, help="env SONGSEG_FEATURES_DIR")
+    _path(p, "--features", "SONGSEG_FEATURES_DIR")
     p.add_argument("--track", required=True)
     p.add_argument("--threshold", type=float, default=None,
                    help="defaults to the configured threshold")
@@ -85,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="find the F-score-optimal picking threshold")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--features", default=None, help="env SONGSEG_FEATURES_DIR")
-    p.add_argument("--refs", default=None, help="env SONGSEG_REFS_DIR")
+    _path(p, "--features", "SONGSEG_FEATURES_DIR")
+    _path(p, "--refs", "SONGSEG_REFS_DIR")
     p.add_argument("--split", required=True)
     p.add_argument("--subset", choices=("train", "val", "test"), default="test")
     p.add_argument("--tolerance", type=float, default=0.5)
@@ -96,14 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="score predictions against references")
-    p.add_argument("--ref-dir", default=None, help="env SONGSEG_REFS_DIR")
+    _path(p, "--ref-dir", "SONGSEG_REFS_DIR")
     p.add_argument("--est-dir", required=True)
     p.add_argument("--tolerance", type=float, default=0.5)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--all", action="store_true",
                    help="score both tolerances (0.5s, 3s) and both betas (1, 0.58)")
-    p.add_argument("--out", default=None,
-                   help="directory for CSV reports (env SONGSEG_OUT_DIR)")
+    _path(p, "--out", "SONGSEG_OUT_DIR", "directory for CSV reports",
+          required=False)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plot", help="plot a sweep CSV as SVG")
@@ -112,6 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     return parser
+
+
+def _path(p, flag, env, help="", default=None, required=True):
+    """Add a path option that falls back to a non-empty ``$env``, then ``default``."""
+    value = os.environ.get(env) or default
+    p.add_argument(flag, default=value, required=required and value is None,
+                   help=f"{help} (env {env})" if help else f"env {env}")
 
 
 def cmd_synth(args) -> int:
@@ -138,47 +143,34 @@ def cmd_synth(args) -> int:
 def _extract_one(wav_path, out_dir, run, force):
     try:
         pipeline.extract_track_features(wav_path, out_dir, run, force=force)
-        return wav_path, None
     except Exception as exc:  # report per-file, batch continues
-        return wav_path, f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 def cmd_features(args) -> int:
     run = RunConfig.from_file(args.config)
-    audio_dir = path_from_env(args.audio_dir, "SONGSEG_AUDIO_DIR")
-    out_dir = path_from_env(args.out, "SONGSEG_FEATURES_DIR")
-    if not audio_dir or not out_dir:
-        print("error: --audio-dir and --out (or env vars) are required",
-              file=sys.stderr)
-        return 2
     wavs = sorted(
-        os.path.join(audio_dir, f) for f in os.listdir(audio_dir)
+        os.path.join(args.audio_dir, f) for f in os.listdir(args.audio_dir)
         if f.lower().endswith(".wav")
     )
     if not wavs:
-        print(f"error: no WAV files in {audio_dir}", file=sys.stderr)
+        print(f"error: no WAV files in {args.audio_dir}", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
 
-    failures = []
+    extract = functools.partial(_extract_one, out_dir=args.out, run=run,
+                                force=args.force)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = pool.map(
-                _extract_one, wavs, [out_dir] * len(wavs),
-                [run] * len(wavs), [args.force] * len(wavs))
-            for wav_path, err in results:
-                if err:
-                    failures.append((wav_path, err))
+            errors = list(pool.map(extract, wavs))
     else:
-        for wav_path in wavs:
-            _, err = _extract_one(wav_path, out_dir, run, args.force)
-            if err:
-                failures.append((wav_path, err))
+        errors = list(map(extract, wavs))
 
+    failures = [(wav_path, err) for wav_path, err in zip(wavs, errors) if err]
     for wav_path, err in failures:
         print(f"failed: {wav_path}: {err}", file=sys.stderr)
     print(f"features ready for {len(wavs) - len(failures)}/{len(wavs)} tracks "
-          f"in {out_dir}")
+          f"in {args.out}")
     return 1 if failures else 0
 
 
@@ -200,32 +192,25 @@ def _load_examples(track_ids, features_dir, refs_dir, run):
 
 def cmd_train(args) -> int:
     run = RunConfig.from_file(args.config)
-    features_dir = path_from_env(args.features, "SONGSEG_FEATURES_DIR")
-    refs_dir = path_from_env(args.refs, "SONGSEG_REFS_DIR")
-    out_dir = path_from_env(args.out, "SONGSEG_OUT_DIR", ".")
-    if not features_dir or not refs_dir:
-        print("error: --features and --refs (or env vars) are required",
-              file=sys.stderr)
-        return 2
     split = ann.load_split_manifest(args.split)
-    train_set = _load_examples(split.train, features_dir, refs_dir, run)
+    train_set = _load_examples(split.train, args.features, args.refs, run)
     if not train_set:
         raise ValueError(f"{args.split}: the split has no train tracks")
-    val_set = _load_examples(split.validation, features_dir, refs_dir, run)
+    val_set = _load_examples(split.validation, args.features, args.refs, run)
 
     model = BoundaryNet(input_height=train_set[0].inputs.shape[0],
                         seed=run.seed)
     result = training.train(model, train_set, epochs=run.epochs, seed=run.seed,
                             val_set=val_set, threshold=run.threshold)
 
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "checkpoint.ckpt")
+    os.makedirs(args.out, exist_ok=True)
+    ckpt_path = os.path.join(args.out, "checkpoint.ckpt")
     best = BoundaryNet(input_height=model.input_height, seed=run.seed)
     best.load_params(result.best_params)
     serialize.save_checkpoint(best, result.best_adam, ckpt_path,
                               config_hash=run.pipeline_hash(),
                               epoch=result.best_epoch)
-    log_path = os.path.join(out_dir, "train_log.csv")
+    log_path = os.path.join(args.out, "train_log.csv")
     training.write_log_csv(log_path, result.log)
     print(f"checkpoint (best epoch {result.best_epoch}) -> {ckpt_path}")
     print(f"training log -> {log_path}")
@@ -234,15 +219,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     run = RunConfig.from_file(args.config)
-    features_dir = path_from_env(args.features, "SONGSEG_FEATURES_DIR")
-    if not features_dir:
-        print("error: --features (or SONGSEG_FEATURES_DIR) is required",
-              file=sys.stderr)
-        return 2
     model, _, _, _ = serialize.load_checkpoint(
         args.checkpoint, expected_hash=run.pipeline_hash())
     inputs, frame_rate, pad = pipeline.load_track_input(
-        features_dir, args.track, run)
+        args.features, args.track, run)
     logits = model.forward(inputs)
     curve = postprocess.from_logits(logits, frame_rate, pad)
     threshold = args.threshold if args.threshold is not None else run.threshold
@@ -254,18 +234,12 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     run = RunConfig.from_file(args.config)
-    features_dir = path_from_env(args.features, "SONGSEG_FEATURES_DIR")
-    refs_dir = path_from_env(args.refs, "SONGSEG_REFS_DIR")
-    if not features_dir or not refs_dir:
-        print("error: --features and --refs (or env vars) are required",
-              file=sys.stderr)
-        return 2
     model, _, _, _ = serialize.load_checkpoint(
         args.checkpoint, expected_hash=run.pipeline_hash())
     split = ann.load_split_manifest(args.split)
     subset = {"train": split.train, "val": split.validation,
               "test": split.test}[args.subset]
-    examples = _load_examples(subset, features_dir, refs_dir, run)
+    examples = _load_examples(subset, args.features, args.refs, run)
 
     pairs = []
     for ex in examples:
@@ -273,13 +247,13 @@ def cmd_sweep(args) -> int:
         curve = postprocess.from_logits(logits, ex.target.frame_rate,
                                         ex.target.pad_frames)
         pairs.append((curve, ex.boundaries))
-    best, rows = postprocess.sweep_threshold(
+    _, rows = postprocess.sweep_threshold(
         pairs, tolerance=args.tolerance, beta=args.beta)
     postprocess.write_sweep_csv(args.out_csv, rows)
     if args.out_svg:
         _sweep_svg(args.out_svg, rows, args.beta)
-    best_row = next(r for r in rows if abs(r.threshold - best) < 1e-12)
-    print(f"optimum threshold {best:.3f} "
+    best_row = max(rows, key=lambda r: r.f_score)  # first maximum, as the sweep
+    print(f"optimum threshold {best_row.threshold:.3f} "
           f"(F{args.beta:g}={best_row.f_score:.3f}) -> {args.out_csv}")
     return 0
 
@@ -294,13 +268,7 @@ def _sweep_svg(path, rows, beta) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    ref_dir = path_from_env(args.ref_dir, "SONGSEG_REFS_DIR")
-    out_dir = path_from_env(args.out, "SONGSEG_OUT_DIR")
-    if not ref_dir:
-        print("error: --ref-dir (or SONGSEG_REFS_DIR) is required",
-              file=sys.stderr)
-        return 2
-    ref_ids = {os.path.splitext(f)[0] for f in os.listdir(ref_dir)
+    ref_ids = {os.path.splitext(f)[0] for f in os.listdir(args.ref_dir)
                if f.endswith(".txt")}
     est_ids = {os.path.splitext(f)[0] for f in os.listdir(args.est_dir)
                if f.endswith(".txt")}
@@ -313,7 +281,7 @@ def cmd_evaluate(args) -> int:
         return 1
 
     pairs = [
-        (ann.parse_functions_file(os.path.join(ref_dir, f"{tid}.txt")),
+        (ann.parse_functions_file(os.path.join(args.ref_dir, f"{tid}.txt")),
          ann.read_boundary_file(os.path.join(args.est_dir, f"{tid}.txt")))
         for tid in common
     ]
@@ -321,33 +289,23 @@ def cmd_evaluate(args) -> int:
                 if args.all else [(args.tolerance, args.beta)])
     reports = [evaluation.score_corpus(pairs, tolerance=tol, beta=beta)
                for tol, beta in settings]
-    table = evaluation.format_score_table(reports,
-                                          ["predictions"] * len(reports))
+    table = evaluation.format_score_table(reports, "predictions")
     print(table)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
         for rep in reports:
             name = f"scores_tol{rep.tolerance:g}_beta{rep.beta:g}.csv"
-            with serialize.atomic_write(os.path.join(out_dir, name), "w",
+            with serialize.atomic_write(os.path.join(args.out, name), "w",
                                         encoding="utf-8") as fh:
                 fh.write("\n".join(evaluation.report_csv_lines(rep, common)) + "\n")
-        with serialize.atomic_write(os.path.join(out_dir, "scores_table.txt"), "w",
+        with serialize.atomic_write(os.path.join(args.out, "scores_table.txt"), "w",
                                     encoding="utf-8") as fh:
             fh.write(table + "\n")
     return 0
 
 
 def cmd_plot(args) -> int:
-    rows = []
-    with open(args.csv, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["threshold", "precision", "recall", "f_beta"]:
-            print(f"error: unexpected CSV header {header}", file=sys.stderr)
-            return 2
-        for line in fh:
-            t, p, r, f = (float(x) for x in line.strip().split(","))
-            rows.append(postprocess.SweepRow(t, p, r, f))
-    _sweep_svg(args.out, rows, 1.0)
+    _sweep_svg(args.out, postprocess.read_sweep_csv(args.csv), 1.0)
     print(f"plot -> {args.out}")
     return 0
 

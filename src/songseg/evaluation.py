@@ -119,23 +119,18 @@ def report_csv_lines(report: ScoreReport, track_ids) -> list:
     return lines
 
 
-def format_score_table(reports, row_labels) -> str:
-    """Aligned text table of corpus scores, one report per row.
+def format_score_table(reports, label) -> str:
+    """Aligned text table of corpus scores, one row per tolerance.
 
-    Columns: label, tolerance, P, R, ``F<beta> (std)``.
+    Columns: label, tolerance, P, R, then ``F<beta> (std)`` per beta.
     """
-    header = ["Input", "Tol.", "P", "R"]
-    betas = []
-    for rep in reports:
-        tag = f"F{rep.beta:g} (std)"
-        if tag not in betas:
-            betas.append(tag)
-    header.extend(betas)
+    betas = list(dict.fromkeys(f"F{rep.beta:g} (std)" for rep in reports))
+    header = ["Input", "Tol.", "P", "R", *betas]
     rows = [header]
-    by_label = {}
-    for rep, label in zip(reports, row_labels):
-        by_label.setdefault((label, rep.tolerance), {})[f"F{rep.beta:g} (std)"] = rep
-    for (label, tol), cells in by_label.items():
+    by_tolerance = {}
+    for rep in reports:
+        by_tolerance.setdefault(rep.tolerance, {})[f"F{rep.beta:g} (std)"] = rep
+    for tol, cells in by_tolerance.items():
         any_rep = next(iter(cells.values()))
         row = [label, f"±{tol:g}s",
                f"{any_rep.mean_precision:.3f}", f"{any_rep.mean_recall:.3f}"]
@@ -144,9 +139,7 @@ def format_score_table(reports, row_labels) -> str:
             row.append(f"{rep.mean_f:.3f} ({rep.std_f:.3f})" if rep else "-")
         rows.append(row)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)

@@ -119,8 +119,8 @@ def maxpool2d_backward(grad_out, cache):
 
 def leaky_relu_forward(x, slope=0.01):
     x = np.asarray(x, dtype=np.float64)
-    y = np.where(x >= 0, x, slope * x)
-    return y, (x >= 0, slope)
+    nonneg = x >= 0
+    return np.where(nonneg, x, slope * x), (nonneg, slope)
 
 
 def leaky_relu_backward(grad_out, cache):

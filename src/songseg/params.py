@@ -12,7 +12,6 @@ for compatibility.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
@@ -232,10 +231,3 @@ def _parse(text: str, type_name: str):
     if type_name == "tuple":
         return tuple(s.strip() for s in text.split(",") if s.strip())
     return text
-
-
-def path_from_env(cli_value, env_name: str, default=None):
-    """Resolve a path argument: explicit CLI value, then environment, then default."""
-    if cli_value is not None:
-        return cli_value
-    return os.environ.get(env_name, default)

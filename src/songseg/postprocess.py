@@ -14,11 +14,13 @@ import numpy as np
 
 from .annotations import BoundarySet
 from .evaluation import score_corpus
+from .errors import FormatError
 from .layers import sigmoid
 from .serialize import atomic_write
 
 SUPPRESSION_SECONDS = 6.0
 SWEEP_STEP = 0.005
+SWEEP_CSV_HEADER = "threshold,precision,recall,f_beta"
 
 
 @dataclass
@@ -129,7 +131,27 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
 
 def write_sweep_csv(path, rows) -> None:
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("threshold,precision,recall,f_beta\n")
+        fh.write(SWEEP_CSV_HEADER + "\n")
         for r in rows:
             fh.write(f"{r.threshold:.3f},{r.precision:.6f},"
                      f"{r.recall:.6f},{r.f_score:.6f}\n")
+
+
+def read_sweep_csv(path) -> list:
+    """Rows of a file written by :func:`write_sweep_csv`.
+
+    A wrong header or a row that is not four numbers raises
+    :class:`FormatError` prefixed ``path:line:``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if lines[:1] != [SWEEP_CSV_HEADER]:
+        raise FormatError(f"{path}:1: expected the header {SWEEP_CSV_HEADER!r}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:  # a wrong field count is a TypeError
+            rows.append(SweepRow(*map(float, line.split(","))))
+        except (TypeError, ValueError):
+            raise FormatError(f"{path}:{number}: expected four numbers, "
+                              f"got {line!r}") from None
+    return rows

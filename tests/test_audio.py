@@ -48,10 +48,19 @@ class TestReadWav:
     def test_float32_roundtrip(self, tmp_path):
         original = AudioBuffer(np.linspace(-0.9, 0.9, 300), 22050)
         path = tmp_path / "f32.wav"
-        write_wav(path, original, bits=32)
+        _write_raw_wav(path, original.samples.astype("<f4").tobytes(),
+                       fmt_code=3, sr=22050, bits=32)
         buf = read_wav(path)
         assert buf.sample_rate == 22050
         np.testing.assert_allclose(buf.samples, original.samples, atol=1e-7)
+
+    def test_int16_write_roundtrip(self, tmp_path):
+        original = AudioBuffer(np.linspace(-0.9, 0.9, 300), 22050)
+        path = tmp_path / "i16.wav"
+        write_wav(path, original)
+        buf = read_wav(path)
+        assert buf.sample_rate == 22050
+        np.testing.assert_allclose(buf.samples, original.samples, atol=1 / 32768)
 
     def test_unsupported_encoding(self, tmp_path):
         path = tmp_path / "alaw.wav"

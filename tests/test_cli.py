@@ -260,3 +260,138 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["features"])  # missing required --config
     assert excinfo.value.code == 2
+
+
+_PATH_VARS = ("SONGSEG_AUDIO_DIR", "SONGSEG_FEATURES_DIR", "SONGSEG_REFS_DIR",
+              "SONGSEG_OUT_DIR")
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    for name in _PATH_VARS:
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+def test_env_vars_stand_in_for_feature_paths(workspace, clean_env, capsys):
+    clean_env.setenv("SONGSEG_AUDIO_DIR", str(workspace["data"] / "audio"))
+    clean_env.setenv("SONGSEG_FEATURES_DIR", str(workspace["feats"]))
+    assert main(["features", "--config", str(workspace["cfg"]),
+                 "--workers", "1"]) == 0
+    assert f"3/3 tracks in {workspace['feats']}" in capsys.readouterr().out
+
+
+def test_env_vars_stand_in_for_evaluate_paths(workspace, clean_env, tmp_path):
+    est_dir = tmp_path / "est"
+    est_dir.mkdir()
+    (est_dir / "track000.txt").write_text("3.0\n")
+    clean_env.setenv("SONGSEG_REFS_DIR", str(workspace["data"] / "refs"))
+    clean_env.setenv("SONGSEG_OUT_DIR", str(tmp_path / "scores"))
+    assert main(["evaluate", "--est-dir", str(est_dir)]) == 0
+    assert (tmp_path / "scores" / "scores_table.txt").exists()
+
+
+# Each required path option, with arguments that leave only it missing.
+_MISSING_PATH = [
+    ("--audio-dir", "SONGSEG_AUDIO_DIR", ["features", "--config", "c", "--out", "o"]),
+    ("--out", "SONGSEG_FEATURES_DIR", ["features", "--config", "c", "--audio-dir", "a"]),
+    ("--features", "SONGSEG_FEATURES_DIR",
+     ["train", "--config", "c", "--refs", "r", "--split", "s"]),
+    ("--refs", "SONGSEG_REFS_DIR",
+     ["train", "--config", "c", "--features", "f", "--split", "s"]),
+    ("--features", "SONGSEG_FEATURES_DIR",
+     ["predict", "--config", "c", "--checkpoint", "k", "--track", "t", "--out", "o"]),
+    ("--features", "SONGSEG_FEATURES_DIR",
+     ["sweep-threshold", "--config", "c", "--checkpoint", "k", "--refs", "r",
+      "--split", "s", "--out-csv", "o"]),
+    ("--refs", "SONGSEG_REFS_DIR",
+     ["sweep-threshold", "--config", "c", "--checkpoint", "k", "--features", "f",
+      "--split", "s", "--out-csv", "o"]),
+    ("--ref-dir", "SONGSEG_REFS_DIR", ["evaluate", "--est-dir", "e"]),
+]
+
+
+@pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+@pytest.mark.parametrize("flag, env, argv", _MISSING_PATH,
+                         ids=[f"{a[0]}{f}" for f, _, a in _MISSING_PATH])
+def test_missing_path_is_usage_error(clean_env, capsys, flag, env, argv, value):
+    if value is not None:
+        clean_env.setenv(env, value)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "required" in err and flag in err
+
+
+def test_features_without_wavs_exits_2(workspace, tmp_path, capsys):
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    (audio / "notes.txt").write_text("no audio here\n")
+    assert main(["features", "--config", str(workspace["cfg"]),
+                 "--audio-dir", str(audio), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: no WAV files")
+
+
+def test_evaluate_without_common_ids_exits_1(workspace, tmp_path, capsys):
+    est_dir = tmp_path / "est"
+    est_dir.mkdir()
+    (est_dir / "ghost.txt").write_text("1.0\n")
+    assert main(["evaluate", "--ref-dir", str(workspace["data"] / "refs"),
+                 "--est-dir", str(est_dir)]) == 1
+    assert "error: no track ids in common" in capsys.readouterr().err
+
+
+def _untrained_checkpoint(workspace, path):
+    from songseg.model import BoundaryNet
+    from songseg.optim import init_adam
+    from songseg.serialize import save_checkpoint
+
+    model = BoundaryNet(input_height=80)
+    save_checkpoint(model, init_adam(model.params), path,
+                    RunConfig.from_file(workspace["cfg"]).pipeline_hash(), epoch=0)
+    return path
+
+
+def test_predict_track_without_features_exits_1(workspace, tmp_path, capsys):
+    ckpt = _untrained_checkpoint(workspace, tmp_path / "c.ckpt")
+    assert main(["predict", "--config", str(workspace["cfg"]),
+                 "--checkpoint", str(ckpt), "--features", str(workspace["feats"]),
+                 "--track", "ghost", "--out", str(tmp_path / "ghost.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ghost" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "ghost.txt").exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("thr,p,r,f\n0.000,1.0,1.0,1.0\n", 1),
+    ("threshold,precision,recall,f_beta\n0.000,1.0,1.0,1.0\n0.005,1.0,1.0\n", 3),
+    ("threshold,precision,recall,f_beta\n0.000,one,1.0,1.0\n", 2),
+], ids=["header", "short-row", "not-a-number"])
+def test_plot_malformed_csv_exits_1(tmp_path, capsys, text, line):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(text)
+    assert main(["plot", "--csv", str(csv_path),
+                 "--out", str(tmp_path / "bad.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}:{line}:")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_sweep_reports_first_best_threshold(workspace, tmp_path, capsys):
+    from songseg.postprocess import read_sweep_csv
+
+    csv_path = tmp_path / "sweep.csv"
+    ckpt = _untrained_checkpoint(workspace, tmp_path / "c.ckpt")
+    assert main(["sweep-threshold", "--config", str(workspace["cfg"]),
+                 "--checkpoint", str(ckpt),
+                 "--features", str(workspace["feats"]),
+                 "--refs", str(workspace["data"] / "refs"),
+                 "--split", str(workspace["root"] / "all_train.tsv"),
+                 "--subset", "train", "--out-csv", str(csv_path)]) == 0
+    rows = read_sweep_csv(csv_path)
+    best = max(rows, key=lambda r: r.f_score)
+    assert sum(r.f_score == best.f_score for r in rows) > 1  # a tie to break
+    assert f"optimum threshold {best.threshold:.3f} " in capsys.readouterr().out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from songseg.annotations import BoundarySet
 from songseg.evaluation import (format_score_table, match_boundaries, prf,
@@ -38,6 +40,20 @@ class TestMatchBoundaries:
             assert m.tp + m.fn == len(ref)
             assert m.tp + m.fp == len(est)
             assert m.tp == exhaustive_match_count(ref.times, est.times, 1.0)
+
+    # times on a quarter-second grid, so that distances equal to the
+    # tolerance (the boundary case of a hit) come up often
+    _grid_times = st.lists(st.integers(0, 40).map(lambda k: k * 0.25), max_size=7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ref=_grid_times, est=_grid_times,
+           tolerance=st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    def test_tp_is_maximum_matching(self, ref, est, tolerance):
+        ref, est = BoundarySet(ref), BoundarySet(est)
+        m = match_boundaries(ref, est, tolerance=tolerance)
+        assert m.tp == exhaustive_match_count(ref.times, est.times, tolerance)
+        assert len(m.pairs) == m.tp
+        assert all(abs(r - e) <= tolerance for r, e in m.pairs)
 
     def test_swap_symmetry(self, rng):
         ref = BoundarySet(np.sort(rng.uniform(0, 20, 5)))
@@ -167,6 +183,17 @@ def test_report_csv_and_table():
     lines = report_csv_lines(rep1, ["songA"])
     assert lines[0] == "track,precision,recall,f_beta"
     assert lines[1].startswith("songA,")
-    table = format_score_table([rep1, rep058], ["mls", "mls"])
+    table = format_score_table([rep1, rep058], "mls")
     assert "F1 (std)" in table
     assert "F0.58 (std)" in table
+
+
+def test_score_table_one_row_per_tolerance():
+    pairs = [(BoundarySet([1.0, 5.0]), BoundarySet([1.1, 7.0]))]
+    reports = [score_corpus(pairs, tolerance=tol, beta=beta)
+               for tol, beta in [(0.5, 1.0), (0.5, 0.58), (3.0, 1.0), (3.0, 0.58)]]
+    lines = format_score_table(reports, "mls").splitlines()
+    assert lines[0].split() == ["Input", "Tol.", "P", "R",
+                                "F1", "(std)", "F0.58", "(std)"]
+    assert [line.split()[:2] for line in lines[2:]] == [["mls", "±0.5s"],
+                                                        ["mls", "±3s"]]

@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 from songseg.annotations import BoundarySet
 from songseg.evaluation import score_corpus
 from songseg.postprocess import (SUPPRESSION_SECONDS, SWEEP_STEP, PredictionCurve,
-                                 SweepRow, from_logits, pick_peaks, sweep_threshold,
-                                 write_sweep_csv)
+                                 SweepRow, from_logits, pick_peaks, read_sweep_csv,
+                                 sweep_threshold, write_sweep_csv)
 
 FRAME_RATE = 44100 / (1024 * 6)
 GAMMA = 50
@@ -179,3 +179,14 @@ class TestPeakProperties:
                 best_f, want_best = report.mean_f, threshold
         assert rows == want
         assert best == want_best
+
+
+def test_sweep_csv_roundtrip(tmp_path):
+    # values with at most the written number of decimals come back exactly
+    rows = [SweepRow(0.0, 1.0, 0.0, 0.0), SweepRow(0.005, 0.5, 0.25, 0.333333),
+            SweepRow(1.0, 0.125, 0.75, 0.214286)]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, rows)
+    assert read_sweep_csv(path) == rows
+    write_sweep_csv(path, [])
+    assert read_sweep_csv(path) == []

@@ -1,12 +1,17 @@
 import builtins
 import os
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from songseg import annotations as ann
 from songseg.annotations import BoundarySet, TargetCurve
+from songseg.audio import AudioBuffer, write_wav
 from songseg.errors import CompatibilityError, FormatError
 from songseg.model import BoundaryNet
 from songseg.optim import init_adam
@@ -43,6 +48,24 @@ class TestMatrixFile:
                           hop_seconds=0.1, kind="net_input")
         back = _roundtrip_matrix(tmp_path, m)
         assert back.values.shape == (0, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=arrays(np.float32, st.tuples(st.integers(0, 6), st.integers(0, 9)),
+                         elements=st.floats(width=32)),
+           hop=st.floats(allow_nan=False), pool=st.integers(0, 2**32 - 1),
+           pad=st.integers(0, 2**32 - 1))
+    @example(values=np.zeros((4, 0), np.float32), hop=0.1, pool=6, pad=50)
+    def test_roundtrip_bit_exact_any_shape(self, values, hop, pool, pad):
+        m = FeatureMatrix(values=values, hop_seconds=hop, pool_factor=pool,
+                          pad_frames=pad, kind="net_input")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.mat")
+            save_matrix(m, path)
+            back = load_matrix(path)
+        assert back.values.dtype == np.float32
+        assert back.values.shape == values.shape
+        assert back.values.tobytes() == values.tobytes()  # NaN payloads too
+        assert (back.hop_seconds, back.pool_factor, back.pad_frames) == (hop, pool, pad)
 
     def test_double_roundtrip_stable(self, tmp_path, rng):
         m = FeatureMatrix(values=rng.standard_normal((5, 7)).astype(np.float32),
@@ -121,6 +144,28 @@ class TestCheckpoint:
         assert epoch == 1
         assert adam2.t == 1
         _assert_checkpoint_equal(model, result.adam, model2, adam2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), height=st.integers(3, 40),
+           t=st.integers(0, 2**64 - 1), epoch=st.integers(0, 2**32 - 1),
+           hyper=st.tuples(*[st.floats(allow_nan=False)] * 4),
+           config_hash=st.binary(min_size=32, max_size=32).map(bytes.hex))
+    def test_roundtrip_any_state(self, seed, height, t, epoch, hyper, config_hash):
+        model = BoundaryNet(input_height=height, seed=seed)
+        rng = np.random.default_rng(seed)
+        adam = init_adam(model.params)
+        adam.lr, adam.beta1, adam.beta2, adam.eps = hyper
+        adam.t = t
+        for name, p in model.params.items():
+            adam.m[name] = rng.standard_normal(p.shape).astype(np.float32)
+            adam.v[name] = rng.exponential(size=p.shape).astype(np.float32)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.ckpt")
+            save_checkpoint(model, adam, path, config_hash, epoch=epoch)
+            model2, adam2, epoch2, stored = load_checkpoint(
+                path, expected_hash=config_hash)
+        assert (epoch2, stored, model2.input_height) == (epoch, config_hash, height)
+        _assert_checkpoint_equal(model, adam, model2, adam2)
 
     def test_pooling_mismatch_is_incompatible(self, tmp_path):
         run6 = RunConfig(pooling="pool6", sslm_inputs=("mfcc-cosine",))
@@ -211,6 +256,7 @@ _TEXT_WRITERS = {
     "plot.svg": lambda path, v: save_line_plot(path, {"f": ([0.0, 1.0], [0.0, 1.0])},
                                                title=str(v)),
     "run.cfg": lambda path, v: RunConfig(epochs=v).to_file(path),
+    "audio.wav": lambda path, v: write_wav(path, AudioBuffer(np.full(8, v / 4), 8000)),
 }
 
 
