@@ -155,17 +155,25 @@ def max_pool_time(m: FeatureMatrix, factor: int) -> FeatureMatrix:
 
     The ragged tail pools over however many frames remain, so no
     end-of-signal content is dropped.  Time metadata is rescaled and any
-    prepended padding count is floor-divided.
+    prepended padding count is floor-divided.  The result is a new
+    C-ordered float64 array (the chroma product rounds by layout).
     """
     if factor < 1:
         raise ValueError("pool factor must be >= 1")
     if factor == 1:
         return replace(m, values=m.values.copy())
     n = m.n_frames
-    n_out = -(-n // factor)
-    padded = np.full((m.n_bins, n_out * factor), -np.inf)
-    padded[:, :n] = m.values
-    pooled = padded.reshape(m.n_bins, n_out, factor).max(axis=2)
+    n_full = n // factor
+    pooled = np.empty((m.n_bins, -(-n // factor)))
+    # Running maximum over the frames at each offset of the complete blocks,
+    # taken in frame order as a reduction over each block would.
+    end = n_full * factor
+    full = pooled[:, :n_full]
+    np.maximum(m.values[:, 0:end:factor], m.values[:, 1:end:factor], out=full)
+    for offset in range(2, factor):
+        np.maximum(full, m.values[:, offset:end:factor], out=full)
+    if end < n:
+        m.values[:, end:].max(axis=1, out=pooled[:, n_full])
     return replace(
         m,
         values=pooled,

@@ -13,9 +13,11 @@ score between each time frame and its recent past:
 
 One :class:`FrontEnd` per track computes the STFT once and serves every
 input from it: the mel spectrogram and each stacked series are derived
-from that one STFT.  Equalization selects the two order statistics the
-quantile interpolates between, exactly matching
-``np.quantile(method="linear")``.
+from that one STFT.  Distances are taken per lag between slices of the
+series.  Equalization finds the two order statistics the quantile
+interpolates between by a merge-path search over each row's sorted head,
+exactly matching ``np.quantile(method="linear")``.  The pink-noise padding
+of the network inputs is generated for all bands at once.
 
 Outputs are in (0, 1): values near 1 mean a frame closely repeats material
 from that many frames ago.
@@ -55,6 +57,10 @@ VARIANCE_FLOOR = 1e-12
 
 # Voss-McCartney generator count for the pink-noise padding.
 PINK_GENERATORS = 16
+
+# Lags the equalizer searches per step: bounds its index temporaries to
+# about a megabyte per array on long tracks.
+EQUALIZE_BLOCK_LAGS = 32
 
 
 @dataclass(frozen=True)
@@ -174,19 +180,31 @@ def lag_distances(series: LagFeatureSeries, lag_bins: int, metric: str) -> np.nd
             f"{lag_bins} lag bins"
         )
     d = np.empty((n, lag_bins))
-    if metric == "cosine":
-        norms = np.linalg.norm(v, axis=0)
-    base = np.arange(n)
+    # For lag l, frames i >= l pair with the view v[:, :n-l] and earlier
+    # frames with frame 0, so no predecessor columns are gathered.
+    if metric == "euclidean":
+        # np.linalg.norm of each lag's difference, computed in place on a
+        # full-width buffer: the column sums run in the same order.
+        diff = np.empty(v.shape)
+        for lag in range(1, lag_bins + 1):
+            np.subtract(v[:, lag:], v[:, : n - lag], out=diff[:, lag:])
+            np.subtract(v[:, :lag], v[:, :1], out=diff[:, :lag])
+            np.multiply(diff, diff, out=diff)
+            d[:, lag - 1] = np.add.reduce(diff, axis=0)
+        return np.sqrt(d, out=d)
+    norms = np.linalg.norm(v, axis=0)
+    # Dot products with frame 0 serve the early frames of every lag.
+    first = np.einsum("ij,ij->j", v[:, :lag_bins], np.repeat(v[:, :1], lag_bins, axis=1))
+    dots = np.empty(n)
+    prev_norms = np.empty(n)
     for lag in range(1, lag_bins + 1):
-        prev = np.maximum(base - lag, 0)
-        if metric == "euclidean":
-            d[:, lag - 1] = np.linalg.norm(v - v[:, prev], axis=0)
-        else:
-            dots = np.einsum("ij,ij->j", v, v[:, prev])
-            denom = norms * norms[prev]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cos = np.where(denom > 0.0, 1.0 - dots / denom, 0.0)
-            d[:, lag - 1] = cos
+        np.einsum("ij,ij->j", v[:, lag:], v[:, : n - lag], out=dots[lag:])
+        dots[:lag] = first[:lag]
+        prev_norms[lag:] = norms[: n - lag]
+        prev_norms[:lag] = norms[0]
+        denom = norms * prev_norms
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[:, lag - 1] = np.where(denom > 0.0, 1.0 - dots / denom, 0.0)
     return d
 
 
@@ -200,30 +218,52 @@ def equalize(d: np.ndarray, kappa: float) -> np.ndarray:
     The result equals ``np.quantile(..., method="linear")`` bit for bit.
     That quantile reads only the order statistics at ``lo = floor(h)`` and
     ``lo + 1`` of the merged row, ``h = (2L - 1) * kappa``, and those lie
-    among the ``lo + 2`` smallest values of either row.  So every row is
-    sorted once, and per lag only the two short prefixes are partitioned.
+    among the ``m = lo + 2`` smallest values of either row (at most L).  So
+    every row is sorted once and cut to its ``m``-value head.  For each
+    (row, lag) entry a binary search over the two sorted heads (a merge-path
+    search) finds how many of the ``lo + 1`` smallest merged values come
+    from row ``i``; the largest value left of that split is statistic
+    ``lo`` and the smallest value right of it is ``lo + 1``.
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0, 1)")
     n, lag_bins = d.shape
     h = (2 * lag_bins - 1) * kappa
     lo = int(np.floor(h))
-    hi = min(lo + 1, 2 * lag_bins - 1)
     gamma = h - lo
-    head = np.sort(d, axis=1)[:, : min(lo + 2, lag_bins)]
+    m = min(lo + 2, lag_bins)
+    k = lo + 1  # merged values left of the split
+    # Each head between a -inf and a +inf sentinel: column j + 1 holds the
+    # j-th smallest value, so the split reads need no bounds checks.
+    width = m + 2
+    heads = np.empty((n, width))
+    heads[:, 0] = -np.inf
+    heads[:, 1 : m + 1] = np.sort(d, axis=1)[:, :m]
+    heads[:, m + 1] = np.inf
+    flat = heads.ravel()
     nan_rows = np.isnan(d).any(axis=1)
+    s_min, s_max = max(0, k - m), min(k, m)
+    steps = [1 << b for b in reversed(range(int(s_max - s_min).bit_length()))]
+    rows = np.arange(n)[:, None]
     a = np.empty_like(d)
     b = np.empty_like(d)
-    base = np.arange(n)
-    for lag in range(1, lag_bins + 1):
-        prev = base - lag
-        prev[prev < 0] = base[prev < 0]
-        merged = np.concatenate([head, head[prev]], axis=1)
-        merged.partition([lo, hi], axis=1)
-        a[:, lag - 1] = merged[:, lo]
-        b[:, lag - 1] = merged[:, hi]
+    for start in range(1, lag_bins + 1, EQUALIZE_BLOCK_LAGS):
+        lags = np.arange(start, min(start + EQUALIZE_BLOCK_LAGS, lag_bins + 1))
+        prev = rows - lags
+        prev = np.where(prev < 0, rows, prev)
+        own = rows * width  # row i's head
+        other = prev * width + (k + 1)  # row i-l's head, offset for k - s
+        # s, the count taken from row i, is the largest in [s_min, s_max]
+        # whose (s-1)-th value of row i lies below the (k-s)-th of row i-l.
+        s = np.full(prev.shape, s_min)
+        for step in steps:
+            t = np.minimum(s + step, s_max)
+            s = np.where(flat[own + t] < flat[other - t], t, s)
+        block = np.s_[:, lags[0] - 1 : lags[-1]]
+        np.maximum(flat[own + s], flat[other - 1 - s], out=a[block])
+        np.minimum(flat[own + 1 + s], flat[other - s], out=b[block])
         # np.quantile answers NaN for any multiset holding a NaN.
-        a[nan_rows | nan_rows[prev], lag - 1] = np.nan
+        a[block][nan_rows[:, None] | nan_rows[prev]] = np.nan
     # numpy's interpolation rule (``_lerp``), kept for bit equality.
     diff = b - a
     if gamma >= 0.5:
@@ -322,24 +362,28 @@ def compute_sslm(audio: AudioBuffer, config: SslmConfig,
     return out
 
 
-def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Voss-McCartney pink noise: summed generators updated at halving rates.
+def _pink_noise_rows(rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` independent Voss-McCartney pink-noise rows of ``n >= 1`` samples.
 
-    At step ``i`` the generator indexed by the number of trailing zero bits
-    of ``i`` is redrawn, so generator ``k`` changes every ``2**k`` steps.
+    Summed generators updated at halving rates: at step ``i`` the generator
+    indexed by the number of trailing zero bits of ``i`` is redrawn, so
+    generator ``k`` changes every ``2**k`` steps.  Row after row, each takes
+    ``PINK_GENERATORS + n - 1`` consecutive draws from ``rng``, the
+    generators' initial values first, so a row equals what a generator of
+    one row alone would give from the same point of the stream.
     """
-    if n <= 0:
-        return np.zeros(0)
-    held = rng.standard_normal(PINK_GENERATORS)
-    total = held.sum()
-    out = np.empty(n)
-    out[0] = total
+    draws = rng.standard_normal(rows * (PINK_GENERATORS + n - 1))
+    draws = draws.reshape(rows, PINK_GENERATORS + n - 1)
+    held = draws[:, :PINK_GENERATORS].copy()
+    total = held.sum(axis=1)
+    out = np.empty((rows, n))
+    out[:, 0] = total
     for i in range(1, n):
         k = min((i & -i).bit_length() - 1, PINK_GENERATORS - 1)
-        total -= held[k]
-        held[k] = rng.standard_normal()
-        total += held[k]
-        out[i] = total
+        total -= held[:, k]
+        held[:, k] = draws[:, PINK_GENERATORS + i - 1]
+        total += held[:, k]
+        out[:, i] = total
     return out
 
 
@@ -353,22 +397,25 @@ def finalize_input(m: FeatureMatrix, gamma: int, seed: int) -> FeatureMatrix:
     """
     if m.kind not in ("mls", "sslm"):
         raise ValueError(f"cannot finalize feature kind {m.kind!r}")
-    rng = np.random.default_rng(seed)
     n_bins, n_frames = m.values.shape
     out = np.empty((n_bins, n_frames + 2 * gamma))
     out[:, gamma : gamma + n_frames] = m.values
-    for row in range(n_bins):
-        noise = pink_noise(2 * gamma, rng)
-        lo = m.values[row].min() if n_frames else 0.0
-        hi = m.values[row].max() if n_frames else 0.0
-        span = hi - lo
-        n_lo, n_hi = noise.min(), noise.max()
-        if span > 0.0 and n_hi > n_lo:
-            scaled = lo + (noise - n_lo) / (n_hi - n_lo) * span
+    if gamma > 0:
+        noise = _pink_noise_rows(n_bins, 2 * gamma, np.random.default_rng(seed))
+        if n_frames:
+            lo, hi = m.values.min(axis=1), m.values.max(axis=1)
         else:
-            scaled = np.full(2 * gamma, lo)
-        out[row, :gamma] = scaled[:gamma]
-        out[row, gamma + n_frames :] = scaled[gamma:]
+            lo = hi = np.zeros(n_bins)
+        span = hi - lo
+        n_lo, n_hi = noise.min(axis=1), noise.max(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = (lo[:, None] + (noise - n_lo[:, None]) / (n_hi - n_lo)[:, None]
+                      * span[:, None])
+        # A flat band, or flat noise, pads with the band's minimum.
+        flat = ~((span > 0.0) & (n_hi > n_lo))
+        scaled[flat] = lo[flat, None]
+        out[:, :gamma] = scaled[:, :gamma]
+        out[:, gamma + n_frames :] = scaled[:, gamma:]
 
     mean = out.mean(axis=1, keepdims=True)
     var = out.var(axis=1, keepdims=True)

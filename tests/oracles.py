@@ -22,6 +22,8 @@ from scipy.special import expit
 # Guard constants mirrored from the documented recurrence contract.
 _EPS_MIN = 1e-9
 _RATIO_LARGE = 50.0
+_VARIANCE_FLOOR = 1e-12
+_PINK_GENERATORS = 16
 
 
 def dft_direct(x) -> np.ndarray:
@@ -136,6 +138,127 @@ def equalize_by_quantile(d: np.ndarray, kappa: float) -> np.ndarray:
         stacked = np.hstack([d, d[prev]])
         eps[:, lag - 1] = np.quantile(stacked, kappa, axis=1, method="linear")
     return eps
+
+
+def lag_distances_by_gather(vectors, lag_bins: int, metric: str) -> np.ndarray:
+    """Per-lag distances from a ``(dim, n)`` gather of each frame's predecessor.
+
+    The former form of ``sslm.lag_distances``, which must match it bit for
+    bit.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    n = v.shape[1]
+    d = np.empty((n, lag_bins))
+    if metric == "cosine":
+        norms = np.linalg.norm(v, axis=0)
+    base = np.arange(n)
+    for lag in range(1, lag_bins + 1):
+        prev = np.maximum(base - lag, 0)
+        if metric == "euclidean":
+            d[:, lag - 1] = np.linalg.norm(v - v[:, prev], axis=0)
+        else:
+            dots = np.einsum("ij,ij->j", v, v[:, prev])
+            denom = norms * norms[prev]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cos = np.where(denom > 0.0, 1.0 - dots / denom, 0.0)
+            d[:, lag - 1] = cos
+    return d
+
+
+def equalize_by_partition(d: np.ndarray, kappa: float) -> np.ndarray:
+    """Quantile equalization partitioning the two sorted row heads per lag.
+
+    The former form of ``sslm.equalize``, which must match it bit for bit.
+    """
+    n, lag_bins = d.shape
+    h = (2 * lag_bins - 1) * kappa
+    lo = int(np.floor(h))
+    hi = min(lo + 1, 2 * lag_bins - 1)
+    gamma = h - lo
+    head = np.sort(d, axis=1)[:, : min(lo + 2, lag_bins)]
+    nan_rows = np.isnan(d).any(axis=1)
+    a = np.empty_like(d)
+    b = np.empty_like(d)
+    base = np.arange(n)
+    for lag in range(1, lag_bins + 1):
+        prev = base - lag
+        prev[prev < 0] = base[prev < 0]
+        merged = np.concatenate([head, head[prev]], axis=1)
+        merged.partition([lo, hi], axis=1)
+        a[:, lag - 1] = merged[:, lo]
+        b[:, lag - 1] = merged[:, hi]
+        a[nan_rows | nan_rows[prev], lag - 1] = np.nan
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1.0 - gamma)
+    return a + diff * gamma
+
+
+def pink_noise(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Voss-McCartney pink noise, one sample at a time.
+
+    At step ``i`` the generator indexed by the number of trailing zero bits
+    of ``i`` is redrawn.  The former per-band generator of
+    ``sslm.finalize_input``.
+    """
+    if n <= 0:
+        return np.zeros(0)
+    held = rng.standard_normal(_PINK_GENERATORS)
+    total = held.sum()
+    out = np.empty(n)
+    out[0] = total
+    for i in range(1, n):
+        k = min((i & -i).bit_length() - 1, _PINK_GENERATORS - 1)
+        total -= held[k]
+        held[k] = rng.standard_normal()
+        total += held[k]
+        out[i] = total
+    return out
+
+
+def finalize_input_by_rows(values, gamma: int, seed: int) -> np.ndarray:
+    """Pink-noise padding and standardization, one band at a time.
+
+    The former form of ``sslm.finalize_input`` (returns its values), which
+    must match it bit for bit.  With ``gamma == 0`` no noise is drawn.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    n_bins, n_frames = values.shape
+    out = np.empty((n_bins, n_frames + 2 * gamma))
+    out[:, gamma : gamma + n_frames] = values
+    for row in range(n_bins if gamma else 0):
+        noise = pink_noise(2 * gamma, rng)
+        lo = values[row].min() if n_frames else 0.0
+        hi = values[row].max() if n_frames else 0.0
+        span = hi - lo
+        n_lo, n_hi = noise.min(), noise.max()
+        if span > 0.0 and n_hi > n_lo:
+            scaled = lo + (noise - n_lo) / (n_hi - n_lo) * span
+        else:
+            scaled = np.full(2 * gamma, lo)
+        out[row, :gamma] = scaled[:gamma]
+        out[row, gamma + n_frames :] = scaled[gamma:]
+    mean = out.mean(axis=1, keepdims=True)
+    var = out.var(axis=1, keepdims=True)
+    centered = out - mean
+    dead = var[:, 0] < _VARIANCE_FLOOR
+    centered[dead] = 0.0
+    scale = np.sqrt(np.where(var < _VARIANCE_FLOOR, 1.0, var))
+    return centered / scale
+
+
+def max_pool_time_by_padding(values, factor: int) -> np.ndarray:
+    """Time max-pooling (ceil mode) of a ``-inf``-padded copy, block by block.
+
+    The former form of ``spectral.max_pool_time`` for ``factor > 1``.
+    """
+    values = np.asarray(values)
+    n_bins, n = values.shape
+    n_out = -(-n // factor)
+    padded = np.full((n_bins, n_out * factor), -np.inf)
+    padded[:, :n] = values
+    return padded.reshape(n_bins, n_out, factor).max(axis=2)
 
 
 def sslm_via_ssm(vectors, lag_bins: int, metric: str, kappa: float,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from songseg import spectral
 from songseg.audio import AudioBuffer
@@ -11,7 +12,7 @@ from songseg.spectral import (FeatureMatrix, chroma_project, max_pool_time,
                               mel_log_spectrogram, stft_magnitude)
 
 from conftest import random_audio
-from oracles import dft_direct, stft_by_gather
+from oracles import dft_direct, max_pool_time_by_padding, stft_by_gather
 
 
 def _tone(freq, seconds, sr=44100, amp=0.5):
@@ -198,3 +199,19 @@ class TestMaxPoolTime:
         once = max_pool_time(m, 6)
         twice = max_pool_time(max_pool_time(m, 2), 3)
         np.testing.assert_array_equal(once.values, twice.values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 20)),
+                         elements=st.sampled_from([0.0, -0.0, 1.5, -2.0, np.nan,
+                                                   np.inf, -np.inf])
+                         | st.floats(allow_nan=False)),
+           factor=st.integers(1, 6), fortran=st.booleans())
+    def test_matches_padded_reshape(self, values, factor, fortran):
+        if fortran:
+            values = np.asfortranarray(values)
+        out = max_pool_time(self._matrix(values), factor).values
+        want = values if factor == 1 else max_pool_time_by_padding(values, factor)
+        assert np.array_equal(out, want, equal_nan=True)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(out[number]), np.signbit(want[number]))
+        assert out.dtype == np.float64 and out.flags.c_contiguous

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,11 +11,13 @@ from songseg.spectral import FeatureMatrix, mel_log_spectrogram, stft_magnitude
 from songseg.sslm import (LagFeatureSeries, SslmConfig, align_frames,
                           compute_sslm, dct_features, equalize,
                           finalize_input, lag_distances, pad_noise_floor,
-                          pink_noise, recurrence, stack_frames)
+                          recurrence, stack_frames)
 
 from conftest import random_audio
-from oracles import (causal_lag_view, equalize_by_quantile, equalize_by_sort,
-                     pairwise_ssm)
+from oracles import (causal_lag_view, equalize_by_partition,
+                     equalize_by_quantile, equalize_by_sort,
+                     finalize_input_by_rows, lag_distances_by_gather,
+                     pairwise_ssm, pink_noise)
 
 SIGMOID_OF_ONE = 0.7310585786300049
 
@@ -135,6 +137,48 @@ class TestLagDistances:
             np.testing.assert_allclose(d, ref, rtol=0, atol=1e-12)
 
 
+@st.composite
+def _lag_series(draw):
+    """Frame vectors on a coarse grid, with zero and NaN columns."""
+    lag_bins = draw(st.integers(1, 8))
+    n = lag_bins + 1 + draw(st.integers(0, 10))
+    dim = draw(st.integers(1, 20))
+    v = draw(arrays(np.float64, (dim, n),
+                    elements=st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.5])
+                    | st.floats(-1e3, 1e3)))
+    for col in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        v[:, col] = 0.0
+    for col in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        v[:, col] = np.nan
+    return v, lag_bins
+
+
+class TestLagDistancesProperties:
+    """``lag_distances`` against its former per-lag gather, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_lag_series())
+    def test_bit_identical_to_gather(self, case):
+        v, lag_bins = case
+        for metric in ("euclidean", "cosine"):
+            assert np.array_equal(lag_distances(_series(v), lag_bins, metric),
+                                  lag_distances_by_gather(v, lag_bins, metric),
+                                  equal_nan=True)
+
+    # n = L + 1 leaves one frame past the lag window; n - L == L splits the
+    # frames evenly between the two slices.
+    @pytest.mark.parametrize("dim, lag_bins, n", [
+        (1, 1, 2), (12, 1, 2), (20, 5, 6), (20, 3, 6), (158, 4, 8), (24, 7, 30)])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_edge_shapes(self, rng, dim, lag_bins, n, metric):
+        v = rng.standard_normal((dim, n)) * 10.0
+        v[:, n // 2] = 0.0
+        v[:, -1] = np.nan
+        assert np.array_equal(lag_distances(_series(v), lag_bins, metric),
+                              lag_distances_by_gather(v, lag_bins, metric),
+                              equal_nan=True)
+
+
 class TestEqualize:
     def test_constant_distances(self):
         d = np.full((6, 4), 3.7)
@@ -169,6 +213,9 @@ _distance_rows = st.integers(1, 12).flatmap(lambda lag_bins: arrays(
     | st.floats(0.0, 10.0, allow_nan=False)))
 
 
+_KAPPAS = [0.1, 0.37, 0.5, 0.9, np.nextafter(1.0, 0.0)]
+
+
 class TestEqualizeProperties:
     """``equalize`` against the np.quantile definition, any shape and kappa."""
 
@@ -196,6 +243,25 @@ class TestEqualizeProperties:
         if n:
             d[0] = 0.0
         assert np.array_equal(equalize(d, kappa), equalize_by_quantile(d, kappa))
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=_distance_rows, nan_rows=st.lists(st.integers(0, 30), max_size=2),
+           kappa=st.sampled_from(_KAPPAS))
+    def test_bit_identical_to_partition_form(self, d, nan_rows, kappa):
+        for row in nan_rows:
+            if row < d.shape[0]:
+                d[row, row % d.shape[1]] = np.nan
+        assert np.array_equal(equalize(d, kappa), equalize_by_partition(d, kappa),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("n, lag_bins", [(3, 10), (0, 5), (7, 1), (1, 1), (40, 13)])
+    @pytest.mark.parametrize("kappa", _KAPPAS)
+    def test_edge_shapes_with_nan_row(self, rng, n, lag_bins, kappa):
+        d = rng.choice([0.0, 0.5, 1.0, 2.0], (n, lag_bins))
+        if n > 1:
+            d[1, 0] = np.nan
+        assert np.array_equal(equalize(d, kappa), equalize_by_partition(d, kappa),
+                              equal_nan=True)
 
 
 class TestRecurrence:
@@ -319,6 +385,19 @@ class TestFinalizeInput:
         out = finalize_input(m, 10, seed=0)
         with pytest.raises(ValueError):
             finalize_input(out, 10, seed=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 30)),
+                         elements=st.floats(-100.0, 100.0)),
+           constant=st.lists(st.integers(0, 5), max_size=2),
+           gamma=st.sampled_from([0, 1, 50]), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_per_band_loop(self, values, constant, gamma, seed):
+        assume(values.shape[1] or gamma)
+        for row in constant:
+            if row < values.shape[0]:
+                values[row] = 4.25
+        out = finalize_input(self._matrix(values), gamma, seed)
+        assert np.array_equal(out.values, finalize_input_by_rows(values, gamma, seed))
 
 
 def test_pink_noise_deterministic():
