@@ -120,6 +120,10 @@ def _path(p, flag, env, help="", default=None, required=True):
 
 
 def cmd_synth(args) -> int:
+    # Split and synthesize before writing, so a corpus too small to split
+    # or an empty segment range leaves nothing on disk.
+    ids = [f"track{i:03d}" for i in range(args.tracks)]
+    split = ann.split_dataset(ids, args.split_seed)
     tracks = synth_corpus(args.seed, args.tracks,
                           segments_per_track=tuple(args.segments),
                           segment_duration=tuple(args.duration))
@@ -127,14 +131,10 @@ def cmd_synth(args) -> int:
     refs_dir = os.path.join(args.out, "refs")
     os.makedirs(audio_dir, exist_ok=True)
     os.makedirs(refs_dir, exist_ok=True)
-    ids = []
-    for i, track in enumerate(tracks):
-        tid = f"track{i:03d}"
-        ids.append(tid)
+    for tid, track in zip(ids, tracks):
         write_wav(os.path.join(audio_dir, f"{tid}.wav"), track.audio)
         ann.write_functions_file(os.path.join(refs_dir, f"{tid}.txt"),
                                  track.boundaries)
-    split = ann.split_dataset(ids, args.split_seed)
     ann.save_split_manifest(os.path.join(args.out, "splits.tsv"), split)
     print(f"wrote {len(tracks)} tracks under {args.out}")
     return 0

@@ -243,15 +243,15 @@ def equalize(d: np.ndarray, kappa: float) -> np.ndarray:
     flat = heads.ravel()
     nan_rows = np.isnan(d).any(axis=1)
     s_min, s_max = max(0, k - m), min(k, m)
-    steps = [1 << b for b in reversed(range(int(s_max - s_min).bit_length()))]
+    steps = [1 << bit for bit in reversed(range((s_max - s_min).bit_length()))]
     rows = np.arange(n)[:, None]
+    own = rows * width  # row i's head
     a = np.empty_like(d)
     b = np.empty_like(d)
     for start in range(1, lag_bins + 1, EQUALIZE_BLOCK_LAGS):
         lags = np.arange(start, min(start + EQUALIZE_BLOCK_LAGS, lag_bins + 1))
         prev = rows - lags
         prev = np.where(prev < 0, rows, prev)
-        own = rows * width  # row i's head
         other = prev * width + (k + 1)  # row i-l's head, offset for k - s
         # s, the count taken from row i, is the largest in [s_min, s_max]
         # whose (s-1)-th value of row i lies below the (k-s)-th of row i-l.

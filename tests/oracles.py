@@ -11,6 +11,11 @@ and ``np.quantile`` quantiles, scipy distance/sigmoid primitives, central finite
 exhaustive boundary matching, and index-gather/``np.add.at`` convolution,
 pooling and STFT framing (instead of strided slices).  None of it shares
 code with the production paths it checks.
+
+The former forms of replaced extraction kernels are kept here too, as the
+references their replacements must equal bit for bit: per-lag gathered
+distances, the per-lag partition equalizer, per-band pink noise and
+``-inf``-padded time pooling.
 """
 
 from dataclasses import dataclass

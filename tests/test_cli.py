@@ -233,6 +233,18 @@ def test_evaluate_warns_on_unmatched_ids(workspace, tmp_path, capsys):
     assert "track001" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--tracks", "2"], "need at least 3 tracks"),
+    (["--segments", "3", "2"], "empty segment count"),
+])
+def test_synth_rejects_before_writing(tmp_path, capsys, extra, message):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
 def test_features_partial_failure(workspace, tmp_path, capsys):
     audio = tmp_path / "audio"
     audio.mkdir()
