@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 
-# Guard constants mirrored from the documented recurrence contract.
+# Constants mirrored from the documented recurrence and finalize contracts.
 _EPS_MIN = 1e-9
 _RATIO_LARGE = 50.0
 _VARIANCE_FLOOR = 1e-12
