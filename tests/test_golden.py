@@ -3,8 +3,9 @@
 The digests are computed in one child process with the BLAS thread count
 pinned to 2, because the rounding of matrix products (mel filterbank,
 convolutions) depends on it.  They cover feature extraction with all five
-inputs under both poolings, the model's logits and gradients, a short
-training run's checkpoint bytes and the threshold sweep on its curves.
+inputs under both poolings, the model's logits and gradients on Gaussian
+input and on a real mel spectrogram, a short training run's checkpoint
+bytes and the threshold sweep on its curves.
 
 Only a change that means to alter outputs may re-pin a digest, and it
 records the old and new value and the reason in CHANGES.md.  Run this file
@@ -39,6 +40,7 @@ GOLDEN = {
     "extract_pool2_3": "25bed025fc57a61116f8e16a71072486a82b6057db84055cefd78de8cfdaac46",
     "model_h80": "b5e9a7459398bdc019f93ec29e117106254a5543f395f7e70119fa82faa8b64d",
     "model_h480": "64f3882d6070c82582cf8d9b81e83450e3ed3ea624f8959efc861bfd4200a9d8",
+    "model_mel": "a3024b7c2bc8a336f10a3f902edce27da01f46121f5064086c819f6d606ae5ae",
     "checkpoint": "af87b09cbbc7ff96527ef49be95bca92786df13aa5221bb5e00a577256dbe54a",
     "sweep_rows": "5f02537dd834004a0f4d78065d1808d0ca604393681258c36c2854940ee14134",
 }
@@ -78,8 +80,8 @@ def _model_digests() -> dict:
     return out
 
 
-def _training_digests() -> dict:
-    run = RunConfig()
+def _acceptance_examples(run) -> list:
+    """The seed-20 acceptance corpus as mel-input training examples."""
     tracks = synth_corpus(seed=20, n_tracks=5, segments_per_track=(3, 5),
                           segment_duration=(7.0, 8.0))
     examples = []
@@ -89,6 +91,24 @@ def _training_digests() -> dict:
                                  run.params.frame_rate, run.params.final_pad)
         examples.append(TrackExample(f"track{i}", mls.values, target,
                                      track.boundaries))
+    return examples
+
+
+def _mel_model_digest(examples) -> dict:
+    """Logits and gradients on a real mel spectrogram.
+
+    About 30% of its pooled conv1 windows have a negative maximum, so the
+    first activation's slope meets gradients that pooling summed; on
+    Gaussian input almost no window maximum is negative.
+    """
+    net = BoundaryNet(input_height=80, seed=0)
+    logits, caches = net.forward_with_cache(examples[0].inputs)
+    grads, grad_x = net.backward(np.tanh(logits), caches)
+    return {"model_mel": _sha(logits, *(grads[name] for name in PARAM_NAMES),
+                              grad_x)}
+
+
+def _training_digests(run, examples) -> dict:
     net = BoundaryNet(input_height=examples[0].inputs.shape[0], seed=run.seed)
     result = train(net, examples[:4], epochs=2, seed=run.seed,
                    val_set=examples[4:], threshold=run.threshold)
@@ -109,7 +129,10 @@ def _training_digests() -> dict:
 def compute() -> dict:
     """Every golden digest, plus the numpy and OpenBLAS versions."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    digests = {**_extraction_digests(), **_model_digests(), **_training_digests()}
+    run = RunConfig()
+    examples = _acceptance_examples(run)
+    digests = {**_extraction_digests(), **_model_digests(),
+               **_mel_model_digest(examples), **_training_digests(run, examples)}
     return {"digests": digests,
             "versions": f"numpy {np.__version__}, {blas['name']} {blas['version']}"}
 
