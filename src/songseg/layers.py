@@ -21,7 +21,7 @@ def _check_tensor4(x) -> np.ndarray:
 
 def _taps(kh, kw, h_out, w_out, stride, dilation):
     """Per kernel tap, row-major, the strided (rows, cols) slices of the padded
-    input it reads: im2col, col2im and the pooling maximum loop over taps.
+    input it reads: im2col and col2im loop over taps.
     """
     sh, sw = stride
     dh, dw = dilation
@@ -49,7 +49,8 @@ def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1))
     if h_out <= 0 or w_out <= 0:
         raise ValueError("input too small for this kernel/stride/padding")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.zeros((1, c, h + 2 * ph, wid + 2 * pw))
+    xp[:, :, ph : ph + h, pw : pw + wid] = x
     taps = _taps(kh, kw, h_out, w_out, stride, dilation)
     # One tap: column-major, the layout an index gather gives, since BLAS
     # rounds a matrix-vector product differently for the two layouts.
@@ -57,7 +58,8 @@ def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1))
                else np.empty((1, h_out, w_out, c)).transpose(3, 0, 1, 2))
     for t, (rows, cols) in enumerate(taps):
         patches[:, t] = xp[0, :, rows, cols]
-    y = w.reshape(out_ch, -1) @ patches.reshape(-1, h_out * w_out) + b[:, None]
+    y = w.reshape(out_ch, -1) @ patches.reshape(-1, h_out * w_out)
+    y += b[:, None]
     cache = (patches, taps, xp.shape, w, np.s_[:, :, ph : ph + h, pw : pw + wid])
     return y.reshape(1, out_ch, h_out, w_out), cache
 
@@ -79,41 +81,101 @@ def conv2d_backward(grad_out, cache):
 def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1)):
     """Max pooling over -inf padding; as with ``argmax``, the first maximum
     (or NaN) in row-major window order wins.
+
+    Separable: each padded column's maximum over a window's rows and the
+    first row holding it, then the maximum over the window's columns and
+    the first tap ``row * kw + column`` among the columns holding that.
     """
     x = _check_tensor4(x)
     _, c, h, wid = x.shape
-    (kh, kw), (ph, pw) = kernel, pad
-    h_out = conv_output_size(h, kh, stride[0], ph, 1)
-    w_out = conv_output_size(wid, kw, stride[1], pw, 1)
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    h_out = conv_output_size(h, kh, sh, ph, 1)
+    w_out = conv_output_size(wid, kw, sw, pw, 1)
     if h_out <= 0 or w_out <= 0:
         raise ValueError("input too small to pool")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    taps = _taps(kh, kw, h_out, w_out, stride, (1, 1))
-    y = xp[0, :, taps[0][0], taps[0][1]]
-    arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(taps) - 1))
-    has_nan = np.isnan(x).any()
-    for t, (rows, cols) in enumerate(taps[1:], start=1):
-        tap = xp[0, :, rows, cols]
-        wins = tap > y
-        if has_nan:
-            wins |= np.isnan(tap) & ~np.isnan(y)
-        y = np.where(wins, tap, y)
-        arg = np.where(wins, arg.dtype.type(t), arg)
-    cache = (arg, kw, stride, xp.shape, np.s_[:, :, ph : ph + h, pw : pw + wid])
-    return np.ascontiguousarray(y)[None], cache
+    xp = np.empty((c, h + 2 * ph, wid + 2 * pw))
+    for border in (np.s_[:, :ph], np.s_[:, ph + h :], np.s_[:, :, :pw],
+                   np.s_[:, :, pw + wid :]):
+        xp[border] = -np.inf
+    xp[:, ph : ph + h, pw : pw + wid] = x[0]
+    rows = [xp[:, i : i + sh * (h_out - 1) + 1 : sh] for i in range(kh)]
+    col_max = rows[0].copy()
+    for r in rows[1:]:
+        np.maximum(col_max, r, out=col_max)
+    # A NaN no window reads changes nothing, so look only at what they read.
+    has_nan = bool(np.isnan(col_max).any())
+    # The first row holding the maximum is the number of leading rows that
+    # miss it.
+    dtype = np.min_scalar_type(2 * kh * kw)
+    missed = _misses(rows[0], col_max, has_nan)
+    first_row = missed.astype(dtype)
+    for r in rows[1:-1]:
+        missed &= _misses(r, col_max, has_nan)
+        first_row += missed
+
+    cols = [np.s_[:, :, j : j + sw * (w_out - 1) + 1 : sw] for j in range(kw)]
+    y = col_max[cols[0]].copy()
+    for cs in cols[1:]:
+        np.maximum(y, col_max[cs], out=y)
+    # The winning tap is the least row * kw + column over the columns that
+    # hold the maximum; a column that misses it is pushed past every tap.
+    first_tap = first_row * dtype.type(kw)
+    arg = None
+    for j, cs in enumerate(cols):
+        key = first_tap[cs] + dtype.type(j)
+        key += _misses(col_max[cs], y, has_nan) * dtype.type(kh * kw)
+        arg = key if arg is None else np.minimum(arg, key, out=arg)
+    # np.maximum may return either zero of a tie, or either NaN: take those
+    # values from the winning position.
+    fix = y == 0
+    if has_nan:
+        fix |= np.isnan(y)
+    if fix.any():
+        y[fix] = xp.ravel()[_winner_index(arg[fix], kw, (sh, sw), xp.shape,
+                                          *np.nonzero(fix))]
+    cache = (arg, kw, (sh, sw), (1, *xp.shape),
+             np.s_[:, :, ph : ph + h, pw : pw + wid])
+    return y[None], cache
+
+
+def _misses(values, maximum, has_nan):
+    """Where ``values`` does not hold ``maximum``: differs from it, and is
+    not a NaN standing for a NaN maximum."""
+    missed = values != maximum
+    if has_nan:
+        missed &= ~np.isnan(values)
+    return missed
+
+
+def _winner_index(arg, kw, stride, padded_shape, chan, row, col):
+    """Flat index into the ``(C, H, W)`` padded input of the winning tap
+    ``arg`` of output windows ``(chan, row, col)``."""
+    _, hp, wp = padded_shape
+    return ((chan * hp + stride[0] * row + arg // kw) * wp
+            + stride[1] * col + arg % kw)
 
 
 def maxpool2d_backward(grad_out, cache):
-    """Route each output gradient to the input position that won the max."""
-    arg, kw, (sh, sw), xp_shape, crop = cache
+    """Route each output gradient to the input position that won the max.
+
+    A cache extended by the ``(nonneg, slope)`` cache of a LeakyReLU applied
+    to the pooled output also runs that activation's backward, in the place
+    it would take if it had been applied before pooling: the gradients a
+    position won are summed first and scaled once, by the slope where the
+    pooled value is negative or NaN.  Scaling each pooled gradient before
+    routing would round the sum differently.
+    """
+    arg, kw, stride, xp_shape, crop, *act = cache
     c, h_out, w_out = arg.shape
-    rows = sh * np.arange(h_out)[:, None] + arg // kw
-    cols = sw * np.arange(w_out) + arg % kw
-    flat = (np.arange(c)[:, None, None] * xp_shape[2] + rows) * xp_shape[3] + cols
+    flat = _winner_index(arg, kw, stride, xp_shape[1:], np.arange(c)[:, None, None],
+                         np.arange(h_out)[:, None], np.arange(w_out))
     g = np.asarray(grad_out, dtype=np.float64).ravel()
     # bincount sums the gradients of one position in increasing output order
     grad_xp = np.bincount(flat.ravel(), weights=g, minlength=np.prod(xp_shape))
+    if act:
+        nonneg, slope = act
+        grad_xp[flat[~nonneg.reshape(arg.shape)]] *= slope
     return grad_xp.reshape(xp_shape)[crop]
 
 

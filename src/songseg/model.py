@@ -85,15 +85,25 @@ class BoundaryNet:
         return x
 
     def forward_with_cache(self, x):
+        """Logits and the per-layer caches ``backward`` reads.
+
+        The first activation runs after the pool, on a 5x smaller tensor.
+        LeakyReLU is non-decreasing, so pooling first gives the same maxima
+        and, with the slope applied to routed sums in ``backward``, the same
+        gradients as activating first.  The one exception is a window whose
+        maximum is two distinct negative values that the slope rounds to one
+        value (adjacent doubles or subnormals): activating first routes to
+        the earlier of the two, pooling first to the larger.
+        """
         x = self._as_tensor(x)
         p = self.params
         caches = {}
         h, caches["conv1"] = layers.conv2d_forward(
             x, p["conv1.w"], p["conv1.b"], CONV1["stride"], CONV1["pad"],
             CONV1["dilation"])
-        h, caches["act1"] = layers.leaky_relu_forward(h, LEAKY_SLOPE)
         h, caches["pool"] = layers.maxpool2d_forward(
             h, POOL["kernel"], POOL["stride"], POOL["pad"])
+        h, caches["act1"] = layers.leaky_relu_forward(h, LEAKY_SLOPE)
         h, caches["conv2"] = layers.conv2d_forward(
             h, p["conv2.w"], p["conv2.b"], CONV2["stride"], CONV2["pad"],
             CONV2["dilation"])
@@ -126,8 +136,8 @@ class BoundaryNet:
         g = layers.leaky_relu_backward(g, caches["act2"])
         g, grads["conv2.w"], grads["conv2.b"] = layers.conv2d_backward(
             g, caches["conv2"])
-        g = layers.maxpool2d_backward(g, caches["pool"])
-        g = layers.leaky_relu_backward(g, caches["act1"])
+        # The pool's backward also scales by act1's slope, after routing.
+        g = layers.maxpool2d_backward(g, (*caches["pool"], *caches["act1"]))
         g, grads["conv1.w"], grads["conv1.b"] = layers.conv2d_backward(
             g, caches["conv1"])
         return grads, g

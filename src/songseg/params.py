@@ -68,6 +68,8 @@ class PipelineParams:
             )
         if not 0.0 < self.quantile < 1.0:
             raise ValueError("quantile must lie in (0, 1)")
+        if self.final_pad < 0:
+            raise ValueError("final_pad must be non-negative")
 
     @property
     def base_hop_seconds(self) -> float:

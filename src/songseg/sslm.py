@@ -110,13 +110,12 @@ def pad_noise_floor(features: FeatureMatrix, params: PipelineParams) -> FeatureM
     n_pad = params.lag_frames
     if n_pad == 0:
         return replace(features, values=features.values.copy())
-    fill = params.floor_db if features.kind == "mls" else params.floor_amplitude
-    pad = np.full((features.n_bins, n_pad), fill)
-    return replace(
-        features,
-        values=np.hstack([pad, features.values]),
-        pad_frames=features.pad_frames + n_pad,
-    )
+    values = np.empty((features.n_bins, n_pad + features.n_frames),
+                      np.result_type(np.float64, features.values))
+    values[:, :n_pad] = (params.floor_db if features.kind == "mls"
+                         else params.floor_amplitude)
+    values[:, n_pad:] = features.values
+    return replace(features, values=values, pad_frames=features.pad_frames + n_pad)
 
 
 def dct_basis(n_bands: int) -> np.ndarray:

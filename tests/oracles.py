@@ -12,10 +12,11 @@ exhaustive boundary matching, and index-gather/``np.add.at`` convolution,
 pooling and STFT framing (instead of strided slices).  None of it shares
 code with the production paths it checks.
 
-The former forms of replaced extraction kernels are kept here too, as the
-references their replacements must equal bit for bit: per-lag gathered
-distances, the per-lag partition equalizer, per-band pink noise and
-``-inf``-padded time pooling.
+The former forms of replaced kernels are kept here too, as the references
+their replacements must equal bit for bit: per-lag gathered distances, the
+per-lag partition equalizer, per-band pink noise, ``-inf``-padded time
+pooling, the ``hstack`` noise-floor pad, the per-tap max pool and the
+model's former activate-then-pool order.
 """
 
 from dataclasses import dataclass
@@ -264,6 +265,20 @@ def max_pool_time_by_padding(values, factor: int) -> np.ndarray:
     padded = np.full((n_bins, n_out * factor), -np.inf)
     padded[:, :n] = values
     return padded.reshape(n_bins, n_out, factor).max(axis=2)
+
+
+def pad_noise_floor_by_hstack(features, params) -> np.ndarray:
+    """Noise-floor pad built by ``np.full`` and ``np.hstack``; returns the
+    padded values.
+
+    The former form of ``sslm.pad_noise_floor``, which must match it bit
+    for bit.
+    """
+    n_pad = params.lag_frames
+    if n_pad == 0:
+        return features.values.copy()
+    fill = params.floor_db if features.kind == "mls" else params.floor_amplitude
+    return np.hstack([np.full((features.n_bins, n_pad), fill), features.values])
 
 
 def sslm_via_ssm(vectors, lag_bins: int, metric: str, kappa: float,
@@ -595,6 +610,74 @@ def maxpool2d_by_gather(x, kernel, stride, pad):
         return grad_xp[:, :, ph:ph + h, pw:pw + wid]
 
     return y, grad_fn
+
+
+def maxpool2d_per_tap(x, kernel, stride, pad):
+    """Max pooling by one ``>`` / ``np.where`` pass per window tap.
+
+    The former form of ``layers.maxpool2d_forward``, which must match it in
+    value, sign of zero and winning tap.  Returns ``(y, cache)`` in the
+    layout ``layers.maxpool2d_backward`` reads.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _, c, h, wid = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    h_out = _out_size(h, kh, sh, ph, 1)
+    w_out = _out_size(wid, kw, sw, pw, 1)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    taps = [(slice(i, i + sh * (h_out - 1) + 1, sh),
+             slice(j, j + sw * (w_out - 1) + 1, sw))
+            for i in range(kh) for j in range(kw)]
+    y = xp[0, :, taps[0][0], taps[0][1]]
+    arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    has_nan = np.isnan(x).any()
+    for t, (rows, cols) in enumerate(taps[1:], start=1):
+        tap = xp[0, :, rows, cols]
+        wins = tap > y
+        if has_nan:
+            wins |= np.isnan(tap) & ~np.isnan(y)
+        y = np.where(wins, tap, y)
+        arg = np.where(wins, arg.dtype.type(t), arg)
+    cache = (arg, kw, stride, xp.shape, np.s_[:, :, ph : ph + h, pw : pw + wid])
+    return np.ascontiguousarray(y)[None], cache
+
+
+def boundary_net_act_first(net, x, grad_logits):
+    """``(logits, grads, grad_x)`` of ``net`` in the former layer order.
+
+    Conv1's output is activated and then pooled by the per-tap form, and
+    the backward runs the pool and the activation in reverse: the former
+    ``BoundaryNet.forward_with_cache`` and ``backward``.
+    """
+    from songseg import layers
+    from songseg.model import CONV1, CONV2, CONV3, CONV4, LEAKY_SLOPE, POOL
+
+    def conv(h, name, spec):
+        return layers.conv2d_forward(h, net.params[f"{name}.w"], net.params[f"{name}.b"],
+                                     spec["stride"], spec["pad"], spec["dilation"])
+
+    h, conv1 = conv(np.asarray(x, dtype=np.float64)[None, None], "conv1", CONV1)
+    h, act1 = layers.leaky_relu_forward(h, LEAKY_SLOPE)
+    h, pool = maxpool2d_per_tap(h, POOL["kernel"], POOL["stride"], POOL["pad"])
+    h, conv2 = conv(h, "conv2", CONV2)
+    h, act2 = layers.leaky_relu_forward(h, LEAKY_SLOPE)
+    h, collapse = layers.collapse_freq_forward(h)
+    h, conv3 = conv(h, "conv3", CONV3)
+    h, act3 = layers.leaky_relu_forward(h, LEAKY_SLOPE)
+    h, conv4 = conv(h, "conv4", CONV4)
+
+    grads = {}
+    g = np.asarray(grad_logits, dtype=np.float64).reshape(1, 1, 1, -1)
+    g, grads["conv4.w"], grads["conv4.b"] = layers.conv2d_backward(g, conv4)
+    g = layers.leaky_relu_backward(g, act3)
+    g, grads["conv3.w"], grads["conv3.b"] = layers.conv2d_backward(g, conv3)
+    g = layers.collapse_freq_backward(g, collapse)
+    g = layers.leaky_relu_backward(g, act2)
+    g, grads["conv2.w"], grads["conv2.b"] = layers.conv2d_backward(g, conv2)
+    g = layers.maxpool2d_backward(g, pool)
+    g = layers.leaky_relu_backward(g, act1)
+    g, grads["conv1.w"], grads["conv1.b"] = layers.conv2d_backward(g, conv1)
+    return h[0, 0, 0, :], grads, g
 
 
 def stft_by_gather(samples, window: int, hop: int) -> np.ndarray:

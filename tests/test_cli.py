@@ -162,6 +162,17 @@ def test_rejected_config_value_exits_1(workspace, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_negative_final_pad_exits_1(workspace, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("final_pad = -2\n")
+    assert main(["features", "--config", str(cfg),
+                 "--audio-dir", str(workspace["data"] / "audio"),
+                 "--out", str(tmp_path / "feats"), "--workers", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:1: final_pad = '-2'")
+    assert "non-negative" in err[0]
+
+
 def test_train_rejects_features_of_another_config(workspace, tmp_path, capsys):
     data, feats = workspace["data"], workspace["feats"]
     cfg = tmp_path / "fmin100.cfg"

@@ -1,13 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from songseg import layers, model
+from songseg.params import RunConfig
+from songseg.pipeline import extract_inputs
+from songseg.synth import synth_corpus
 
-from oracles import (conv2d_by_gather, finite_difference, maxpool2d_by_gather,
-                     relative_error)
+from oracles import (boundary_net_act_first, conv2d_by_gather, finite_difference,
+                     maxpool2d_by_gather, maxpool2d_per_tap, relative_error)
 
 GRAD_TOL = 1e-4
 
@@ -270,3 +275,118 @@ class TestBitIdenticalToGatherScatter:
         x[..., :4] = 0.0
         _assert_pool_matches_gather(x, model.POOL["kernel"], model.POOL["stride"],
                                     model.POOL["pad"], grad_seed=2)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _pool_geometry(draw):
+    """Kernel, stride, pad and an input size with at least one output,
+    strides above the kernel (rows and columns no window reads) included."""
+    kernel = (draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    stride = (draw(st.integers(1, 7)), draw(st.integers(1, 5)))
+    pad = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    lows = [max(1, k - 2 * p) for k, p in zip(kernel, pad)]
+    size = tuple(draw(st.integers(low, low + 12)) for low in lows)
+    return kernel, stride, pad, size
+
+
+def _unread(size, kernel, stride, pad):
+    """Input indices along one axis that no pooling window reads."""
+    n_out = layers.conv_output_size(size, kernel, stride, pad, 1)
+    read = {stride * o + k - pad for o in range(n_out) for k in range(kernel)}
+    return [i for i in range(size) if i not in read]
+
+
+def _assert_pool_matches_per_tap(x, kernel, stride, pad, grad_seed):
+    y, cache = layers.maxpool2d_forward(x, kernel, stride, pad)
+    y_ref, cache_ref = maxpool2d_per_tap(x, kernel, stride, pad)
+    assert np.array_equal(y, y_ref, equal_nan=True)
+    assert np.array_equal(np.signbit(y), np.signbit(y_ref))
+    assert np.array_equal(cache[0], cache_ref[0])
+    upstream = np.random.default_rng(grad_seed).standard_normal(y.shape)
+    assert np.array_equal(layers.maxpool2d_backward(upstream, cache),
+                          layers.maxpool2d_backward(upstream, cache_ref))
+
+
+class TestSeparablePool:
+    """The separable first-maximum pool against the former per-tap form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), geometry=_pool_geometry(), channels=st.integers(1, 3))
+    def test_matches_per_tap_form(self, data, geometry, channels):
+        kernel, stride, pad, size = geometry
+        elements = _VALUES | st.sampled_from([-np.inf, np.nan])
+        x = data.draw(arrays(np.float64, (1, channels, *size), elements=elements))
+        _assert_pool_matches_per_tap(x, kernel, stride, pad, data.draw(_SEEDS))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), geometry=_pool_geometry())
+    def test_nan_where_no_window_reads(self, data, geometry):
+        kernel, stride, pad, size = geometry
+        rows, cols = (_unread(n, k, s, p) for n, k, s, p in zip(size, kernel, stride, pad))
+        assume(rows or cols)
+        x = data.draw(arrays(np.float64, (1, 2, *size), elements=_GRID))
+        x[:, :, rows] = np.nan
+        x[:, :, :, cols] = np.nan
+        y, _ = layers.maxpool2d_forward(x, kernel, stride, pad)
+        assert not np.isnan(y).any()
+        _assert_pool_matches_per_tap(x, kernel, stride, pad, data.draw(_SEEDS))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), geometry=_pool_geometry(), channels=st.integers(1, 3),
+           slope=st.sampled_from([model.LEAKY_SLOPE, 0.3, 1.0]))
+    def test_activation_cache_scales_routed_sums(self, data, geometry, channels, slope):
+        # Backward of activate-then-pool: route, then scale at full size.
+        kernel, stride, pad, size = geometry
+        elements = _VALUES | st.sampled_from([-np.inf, np.nan])
+        x = data.draw(arrays(np.float64, (1, channels, *size), elements=elements))
+        y, cache = layers.maxpool2d_forward(x, kernel, stride, pad)
+        _, act = layers.leaky_relu_forward(y, slope)
+        upstream = np.random.default_rng(data.draw(_SEEDS)).standard_normal(y.shape)
+        want = layers.leaky_relu_backward(layers.maxpool2d_backward(upstream, cache),
+                                          layers.leaky_relu_forward(x, slope)[1])
+        assert np.array_equal(layers.maxpool2d_backward(upstream, (*cache, *act)), want)
+
+
+@functools.lru_cache(maxsize=1)
+def _acceptance_mels():
+    """Mel inputs of the tracks of the seed-20 acceptance corpus."""
+    run = RunConfig()
+    tracks = synth_corpus(seed=20, n_tracks=5, segments_per_track=(3, 5),
+                          segment_duration=(7.0, 8.0))
+    return [extract_inputs(t.audio, run)["mls"].values for t in tracks]
+
+
+def _slope_ties(net, x):
+    """Whether a pool window of conv1's output holds two distinct values that
+    LeakyReLU rounds to one, where activating first picks another winner."""
+    spec, pool = model.CONV1, model.POOL
+    h, _ = layers.conv2d_forward(x[None, None], net.params["conv1.w"],
+                                 net.params["conv1.b"], spec["stride"], spec["pad"],
+                                 spec["dilation"])
+    geometry = pool["kernel"], pool["stride"], pool["pad"]
+    activated, _ = layers.leaky_relu_forward(h, model.LEAKY_SLOPE)
+    return not np.array_equal(maxpool2d_per_tap(h, *geometry)[1][0],
+                              maxpool2d_per_tap(activated, *geometry)[1][0])
+
+
+class TestPoolBeforeActivation:
+    @settings(max_examples=15, deadline=None)
+    @given(track=st.integers(0, 4), seed=st.integers(0, 2**31 - 1),
+           start=st.integers(0, 400), width=st.integers(1, 400), grad_seed=_SEEDS)
+    def test_model_matches_activate_then_pool(self, track, seed, start, width,
+                                              grad_seed):
+        mel = _acceptance_mels()[track]
+        x = mel[:, min(start, mel.shape[1] - 1):][:, :width]
+        net = model.BoundaryNet(input_height=80, seed=seed)
+        assume(not _slope_ties(net, x))
+        logits, caches = net.forward_with_cache(x)
+        upstream = np.random.default_rng(grad_seed).standard_normal(logits.shape)
+        grads, grad_x = net.backward(upstream, caches)
+        ref_logits, ref_grads, ref_grad_x = boundary_net_act_first(net, x, upstream)
+        assert np.array_equal(logits, ref_logits)
+        for name in model.PARAM_NAMES:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        assert np.array_equal(grad_x, ref_grad_x)

@@ -339,6 +339,7 @@ class TestRunConfigHash:
         ("pooling = pool7", "unknown pooling strategy"),
         ("sslm_inputs = mfcc-cosine,mfcc-cosine", "duplicate SSLM variant"),
         ("quantile = 1.5", "quantile must lie in"),
+        ("final_pad = -2", "final_pad must be non-negative"),
     ])
     def test_rejected_value_names_key_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "run.cfg"
@@ -363,6 +364,11 @@ class TestRunConfigHash:
         path.write_text("sslm_inputs = mfcc-cosine,mfcc-cosine\n")
         with pytest.raises(ValueError, match="duplicate"):
             RunConfig.from_file(path)
+
+    def test_negative_final_pad_rejected(self):
+        with pytest.raises(ValueError, match="final_pad must be non-negative"):
+            PipelineParams(final_pad=-2)
+        assert PipelineParams(final_pad=0).final_pad == 0
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

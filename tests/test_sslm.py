@@ -17,7 +17,7 @@ from conftest import random_audio
 from oracles import (causal_lag_view, equalize_by_partition,
                      equalize_by_quantile, equalize_by_sort,
                      finalize_input_by_rows, lag_distances_by_gather,
-                     pairwise_ssm, pink_noise)
+                     pad_noise_floor_by_hstack, pairwise_ssm, pink_noise)
 
 SIGMOID_OF_ONE = 0.7310585786300049
 
@@ -55,6 +55,17 @@ class TestPadNoiseFloor:
         mls = mel_log_spectrogram(random_audio(1, 0.5), params)
         padded = pad_noise_floor(mls, params)
         np.testing.assert_array_equal(padded.values, mls.values)
+
+    @pytest.mark.parametrize("lag_seconds", [0.0, 0.05, 14.0])
+    def test_bit_identical_to_hstack_form(self, lag_seconds):
+        params = PipelineParams(lag_seconds=lag_seconds)
+        audio = random_audio(2, 0.5)
+        for front in (mel_log_spectrogram(audio, params), stft_magnitude(audio, params)):
+            padded = pad_noise_floor(front, params)
+            want = pad_noise_floor_by_hstack(front, params)
+            assert padded.values.dtype == want.dtype
+            assert padded.values.flags.c_contiguous
+            assert np.array_equal(padded.values, want)
 
 
 class TestDctFeatures:
