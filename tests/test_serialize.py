@@ -365,11 +365,6 @@ class TestRunConfigHash:
         with pytest.raises(ValueError, match="duplicate"):
             RunConfig.from_file(path)
 
-    def test_negative_final_pad_rejected(self):
-        with pytest.raises(ValueError, match="final_pad must be non-negative"):
-            PipelineParams(final_pad=-2)
-        assert PipelineParams(final_pad=0).final_pad == 0
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epoch = 1\n")
