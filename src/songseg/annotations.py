@@ -9,6 +9,7 @@ Gaussian bump at each boundary.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -76,22 +77,16 @@ def parse_functions_file(path) -> BoundarySet:
     """Parse a ``seconds<TAB>label`` file, dropping the first (start) entry.
 
     Lines are sorted and deduplicated before the first is removed, so input
-    ordering does not matter.  A malformed time token raises
+    ordering does not matter.  A malformed or non-finite time token raises
     :class:`FormatError` naming the line.
     """
     times = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if not stripped:
-                continue
-            token = stripped.split("\t", 1)[0].split()[0]
-            try:
-                times.append(float(token))
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: cannot parse time from {token!r}"
-                ) from None
+            if stripped:
+                token = stripped.split("\t", 1)[0].split()[0]
+                times.append(_parse_time(token, path, lineno))
     canonical = BoundarySet(times)
     return BoundarySet(canonical.times[1:])
 
@@ -110,20 +105,29 @@ def write_functions_file(path, boundaries: BoundarySet) -> None:
 
 
 def read_boundary_file(path) -> BoundarySet:
-    """Read plain predicted boundaries, one time in seconds per line."""
+    """Read plain predicted boundaries, one time in seconds per line.
+
+    A malformed or non-finite time raises :class:`FormatError` naming the
+    line.
+    """
     times = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                times.append(float(stripped))
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: cannot parse time from {stripped!r}"
-                ) from None
+            if stripped:
+                times.append(_parse_time(stripped, path, lineno))
     return BoundarySet(times)
+
+
+def _parse_time(token: str, path, lineno: int) -> float:
+    """A finite time in seconds, or :class:`FormatError` at ``path:lineno``."""
+    try:
+        t = float(token)
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: cannot parse time from {token!r}") from None
+    if not math.isfinite(t):
+        raise FormatError(f"{path}:{lineno}: time {token!r} is not finite")
+    return t
 
 
 def write_boundary_file(path, boundaries: BoundarySet) -> None:

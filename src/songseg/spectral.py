@@ -160,20 +160,8 @@ def max_pool_time(m: FeatureMatrix, factor: int) -> FeatureMatrix:
     """
     if factor < 1:
         raise ValueError("pool factor must be >= 1")
-    if factor == 1:
-        return replace(m, values=m.values.copy())
-    n = m.n_frames
-    n_full = n // factor
-    pooled = np.empty((m.n_bins, -(-n // factor)))
-    # Running maximum over the frames at each offset of the complete blocks,
-    # taken in frame order as a reduction over each block would.
-    end = n_full * factor
-    full = pooled[:, :n_full]
-    np.maximum(m.values[:, 0:end:factor], m.values[:, 1:end:factor], out=full)
-    for offset in range(2, factor):
-        np.maximum(full, m.values[:, offset:end:factor], out=full)
-    if end < n:
-        m.values[:, end:].max(axis=1, out=pooled[:, n_full])
+    pooled = np.empty((m.n_bins, -(-m.n_frames // factor)))
+    _max_pool_into(pooled, m.values, factor)
     return replace(
         m,
         values=pooled,
@@ -181,3 +169,24 @@ def max_pool_time(m: FeatureMatrix, factor: int) -> FeatureMatrix:
         pool_factor=m.pool_factor * factor,
         pad_frames=m.pad_frames // factor,
     )
+
+
+def _max_pool_into(out: np.ndarray, values: np.ndarray, factor: int) -> None:
+    """Write the ceil-mode time max-pool of ``values`` into ``out``.
+
+    ``out`` holds ``ceil(frames / factor)`` columns.  Complete blocks take a
+    running maximum over the frames at each offset, in frame order as a
+    reduction over each block would; the ragged tail is reduced directly.
+    """
+    if factor == 1:
+        out[...] = values
+        return
+    n = values.shape[1]
+    n_full = n // factor
+    end = n_full * factor
+    full = out[:, :n_full]
+    np.maximum(values[:, 0:end:factor], values[:, 1:end:factor], out=full)
+    for offset in range(2, factor):
+        np.maximum(full, values[:, offset:end:factor], out=full)
+    if end < n:
+        values[:, end:].max(axis=1, out=out[:, n_full])

@@ -3,12 +3,13 @@
 The chain implemented here turns a spectral front end into a recurrence
 score between each time frame and its recent past:
 
-1. prepend a constant noise-floor pad spanning the lag window,
-2. max-pool time (by 6 up front, or by 2 now and 3 at the very end),
-3. reduce frames to timbre (DCT of the mel bands, first coefficient
+1. prepend a constant noise-floor pad spanning the lag window and
+   max-pool time (by 6 up front, or by 2 now and 3 at the very end), in
+   one pass that writes the pad straight into the pooled frames,
+2. reduce frames to timbre (DCT of the mel bands, first coefficient
    dropped) or harmony (chroma) vectors,
-4. stack each frame with a frame a fixed offset ahead,
-5. compute per-lag distances, equalize them by a local quantile, drop the
+3. stack each frame with a frame a fixed offset ahead,
+4. compute per-lag distances, equalize them by a local quantile, drop the
    frames that lie inside the pad, and squash through a sigmoid.
 
 One :class:`FrontEnd` per track computes the STFT once and serves every
@@ -36,6 +37,7 @@ from .layers import sigmoid
 from .params import PipelineParams
 from .spectral import (
     FeatureMatrix,
+    _max_pool_into,
     chroma_project,
     max_pool_time,
     mel_log_spectrogram,
@@ -98,24 +100,41 @@ class LagFeatureSeries:
         return self.vectors.shape[1]
 
 
-def pad_noise_floor(features: FeatureMatrix, params: PipelineParams) -> FeatureMatrix:
-    """Prepend a constant noise-floor pad covering the lag span.
+def pad_noise_floor(features: FeatureMatrix, params: PipelineParams,
+                    factor: int = 1) -> FeatureMatrix:
+    """Prepend a constant noise-floor pad covering the lag span and max-pool
+    time by ``factor``, in one pass.
 
     The pad is ``round(lag_seconds * sr / hop)`` frames at the matrix's
     un-pooled rate: the dB floor for mel input, its linear-magnitude
-    equivalent for STFT input.
+    equivalent for STFT input.  The padded matrix is never built: blocks
+    wholly inside the pad are the fill value, the block shared by pad and
+    track is the running maximum of the fill and its track frames, and the
+    remaining blocks pool the track frames.  The result equals
+    ``max_pool_time`` of the padded matrix bit for bit, as a new C-ordered
+    float64 array.
     """
     if features.kind not in ("mls", "stft_mag"):
         raise ValueError(f"cannot pad feature kind {features.kind!r}")
+    if factor < 1:
+        raise ValueError("pool factor must be >= 1")
     n_pad = params.lag_frames
-    if n_pad == 0:
-        return replace(features, values=features.values.copy())
-    values = np.empty((features.n_bins, n_pad + features.n_frames),
-                      np.result_type(np.float64, features.values))
-    values[:, :n_pad] = (params.floor_db if features.kind == "mls"
-                         else params.floor_amplitude)
-    values[:, n_pad:] = features.values
-    return replace(features, values=values, pad_frames=features.pad_frames + n_pad)
+    pooled = np.empty((features.n_bins, -(-(n_pad + features.n_frames) // factor)))
+    pad_blocks = -(-n_pad // factor)
+    pooled[:, :pad_blocks] = (params.floor_db if features.kind == "mls"
+                              else params.floor_amplitude)
+    # Track frames that share the last pad block join its maximum in frame order.
+    head = -n_pad % factor
+    for frame in features.values[:, :head].T:
+        np.maximum(pooled[:, pad_blocks - 1], frame, out=pooled[:, pad_blocks - 1])
+    _max_pool_into(pooled[:, pad_blocks:], features.values[:, head:], factor)
+    return replace(
+        features,
+        values=pooled,
+        hop_seconds=features.hop_seconds * factor,
+        pool_factor=features.pool_factor * factor,
+        pad_frames=(features.pad_frames + n_pad) // factor,
+    )
 
 
 def dct_basis(n_bands: int) -> np.ndarray:
@@ -317,7 +336,7 @@ class FrontEnd:
         if key not in self._series:
             p = self.params
             source = self.mls if feature == "mfcc" else self.stft
-            pooled = max_pool_time(pad_noise_floor(source, p), pool_pre)
+            pooled = pad_noise_floor(source, p, pool_pre)
             if feature == "mfcc":
                 series = dct_features(pooled)
             else:

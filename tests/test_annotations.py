@@ -45,6 +45,13 @@ class TestParseFunctionsFile:
         with pytest.raises(FormatError, match=":2:"):
             parse_functions_file(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_time_reports_line(self, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0.0\tstart\n12.5\tVerse\n{token}\tChorus\n")
+        with pytest.raises(FormatError, match=f"{path}:3: .*not finite"):
+            parse_functions_file(path)
+
     def test_write_parse_roundtrip(self, tmp_path):
         original = BoundarySet([3.25, 17.816326530612244, 60.0])
         path = tmp_path / "rt.txt"
@@ -63,6 +70,19 @@ class TestBoundaryFiles:
         path = tmp_path / "empty.txt"
         path.write_text("")
         assert len(read_boundary_file(path)) == 0
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_time_reports_line(self, tmp_path, token):
+        path = tmp_path / "est.txt"
+        path.write_text(f"2.25\n\n{token}\n")
+        with pytest.raises(FormatError, match=f"{path}:3: .*not finite"):
+            read_boundary_file(path)
+
+    def test_bad_token_reports_line(self, tmp_path):
+        path = tmp_path / "est.txt"
+        path.write_text("2.25\nsoon\n")
+        with pytest.raises(FormatError, match=f"{path}:2: cannot parse"):
+            read_boundary_file(path)
 
 
 class TestTargetCurve:

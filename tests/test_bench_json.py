@@ -11,14 +11,24 @@ bench_json = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_json)
 
 
-def _record(checkout, workload, seed, trace, rate, ok=True):
+def _record(checkout, workload, seed, trace, rate, ok=True, **metrics):
     records = checkout / ".perfbench_work" / "records"
     records.mkdir(parents=True, exist_ok=True)
     rec = {"env": {"workload": workload, "seed": seed, "git_rev": checkout.name},
            "checks": {"sslm_oracle": ok}, "errors": [],
-           "metrics": {"extract_audio_s_per_s": {"value": rate, "unit": "audio_s/s"}}}
+           "metrics": {"extract_audio_s_per_s": {"value": rate, "unit": "audio_s/s"},
+                       **{name: {"value": v, "unit": "s"} for name, v in metrics.items()}}}
     path = records / f"{workload}-seed{seed}-trace{trace}.json"
     path.write_text(json.dumps(rec))
+
+
+def _benchmark(checkout):
+    """A BENCHMARK.json naming the better direction of the test metrics."""
+    checkout.mkdir(parents=True, exist_ok=True)
+    (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "extract_audio_s_per_s", "better": "higher"},
+        {"name": "train_epoch_s", "better": "lower"},
+        {"name": "sweep_s", "better": "lower"}]}))
 
 
 def test_median_min_max_per_workload_and_side(tmp_path):
@@ -27,11 +37,13 @@ def test_median_min_max_per_workload_and_side(tmp_path):
         _record(parent, "extract-pool6", seed, 0, rate)
         _record(change, "extract-pool6", seed, 0, 2 * rate, ok=seed != 2)
     _record(parent, "extract-pool6", 9, 1, 1.0)  # traced: not end to end
+    _benchmark(change)
     out = tmp_path / "bench.json"
     assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 0
     got = json.loads(out.read_text())["extract-pool6"]
     assert got["parent"]["metrics"]["extract_audio_s_per_s"] == {
-        "unit": "audio_s/s", "median": 310.0, "min": 300.0, "max": 320.0}
+        "unit": "audio_s/s", "median": 310.0, "q1": 305.0, "q3": 315.0,
+        "min": 300.0, "max": 320.0}
     assert got["parent"]["seeds"] == [1, 2, 3] and got["parent"]["all_correct"]
     assert got["change"]["metrics"]["extract_audio_s_per_s"]["median"] == 620.0
     assert got["change"]["git_rev"] == ["change"]
@@ -44,4 +56,43 @@ def test_missing_records_exit_1(tmp_path, capsys):
     assert bench_json.main([str(tmp_path / "parent"), str(tmp_path / "none"),
                             "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: no end-to-end records")
+    assert not out.exists()
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert bench_json.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 3.25)
+    assert bench_json.quartiles([7.0]) == (7.0, 7.0)
+
+
+def test_pair_wins_follow_the_better_direction(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # (seed, parent rate, change rate, parent epoch s, change epoch s)
+    for seed, p_rate, c_rate, p_epoch, c_epoch in ((1, 300.0, 330.0, 0.40, 0.30),
+                                                   (2, 310.0, 305.0, 0.40, 0.40),
+                                                   (3, 320.0, 320.0, 0.40, 0.45),
+                                                   (4, 290.0, 350.0, 0.50, 0.30)):
+        _record(parent, "extract-pool6", seed, 0, p_rate, train_epoch_s=p_epoch)
+        _record(change, "extract-pool6", seed, 0, c_rate, train_epoch_s=c_epoch)
+    _record(parent, "extract-pool6", 5, 0, 1.0, train_epoch_s=9.0)  # no partner
+    _record(change, "train-sweep", 1, 0, 700.0)  # no parent run of the workload
+    _benchmark(change)
+    out = tmp_path / "bench.json"
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    # ties are no win; sweep_s is in neither side's records
+    assert got["extract-pool6"]["pairs"] == {
+        "seeds": [1, 2, 3, 4],
+        "change_wins": {"extract_audio_s_per_s": 2, "train_epoch_s": 2}}
+    assert got["extract-pool6"]["parent"]["seeds"] == [1, 2, 3, 4, 5]
+    assert got["train-sweep"]["parent"] is None
+    assert got["train-sweep"]["pairs"] == {"seeds": [], "change_wins": {}}
+
+
+def test_missing_benchmark_json_exit_1(tmp_path, capsys):
+    _record(tmp_path / "parent", "train-sweep", 1, 0, 1.0)
+    _record(tmp_path / "change", "train-sweep", 1, 0, 2.0)
+    out = tmp_path / "bench.json"
+    assert bench_json.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                            "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read the metric directions")
     assert not out.exists()

@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line surface on a tiny corpus."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ def test_train_empty_train_split_exits_1(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "train" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_train_non_finite_reference_exits_1(workspace, tmp_path, capsys):
+    data, cfg, feats = (workspace[k] for k in ("data", "cfg", "feats"))
+    refs = tmp_path / "refs"
+    shutil.copytree(data / "refs", refs)
+    with open(refs / "track001.txt", "a", encoding="utf-8") as fh:
+        fh.write("inf\tend\n")
+    assert main(["train", "--config", str(cfg), "--features", str(feats),
+                 "--refs", str(refs),
+                 "--split", str(workspace["root"] / "all_train.tsv"),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {refs / 'track001.txt'}:")
+    assert "not finite" in err[0]
 
 
 def test_unknown_config_key_exits_1(workspace, tmp_path, capsys):

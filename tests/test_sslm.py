@@ -1,3 +1,7 @@
+import itertools
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,8 +11,9 @@ from hypothesis.extra.numpy import arrays
 from songseg.audio import AudioBuffer
 from songseg.errors import InputTooShortError
 from songseg.params import PipelineParams
-from songseg.spectral import FeatureMatrix, mel_log_spectrogram, stft_magnitude
-from songseg.sslm import (LagFeatureSeries, SslmConfig, align_frames,
+from songseg.spectral import (FeatureMatrix, max_pool_time, mel_log_spectrogram,
+                              stft_magnitude)
+from songseg.sslm import (FrontEnd, LagFeatureSeries, SslmConfig, align_frames,
                           compute_sslm, dct_features, equalize,
                           finalize_input, lag_distances, pad_noise_floor,
                           recurrence, stack_frames)
@@ -17,7 +22,8 @@ from conftest import random_audio
 from oracles import (causal_lag_view, equalize_by_partition,
                      equalize_by_quantile, equalize_by_sort,
                      finalize_input_by_rows, lag_distances_by_gather,
-                     pad_noise_floor_by_hstack, pairwise_ssm, pink_noise)
+                     max_pool_time_by_padding, pad_noise_floor_by_hstack,
+                     pairwise_ssm, pink_noise)
 
 SIGMOID_OF_ONE = 0.7310585786300049
 
@@ -60,12 +66,71 @@ class TestPadNoiseFloor:
     def test_bit_identical_to_hstack_form(self, lag_seconds):
         params = PipelineParams(lag_seconds=lag_seconds)
         audio = random_audio(2, 0.5)
-        for front in (mel_log_spectrogram(audio, params), stft_magnitude(audio, params)):
-            padded = pad_noise_floor(front, params)
-            want = pad_noise_floor_by_hstack(front, params)
-            assert padded.values.dtype == want.dtype
-            assert padded.values.flags.c_contiguous
-            assert np.array_equal(padded.values, want)
+        for front, factor in itertools.product(
+                (mel_log_spectrogram(audio, params), stft_magnitude(audio, params)),
+                (1, 2, 3, 6)):
+            pooled = pad_noise_floor(front, params, factor)
+            want = max_pool_time_by_padding(pad_noise_floor_by_hstack(front, params),
+                                            factor)
+            assert pooled.values.dtype == want.dtype, (front.kind, factor)
+            assert pooled.values.flags.c_contiguous, (front.kind, factor)
+            assert np.array_equal(pooled.values, want), (front.kind, factor)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), factor=st.integers(1, 7), n_frames=st.integers(0, 20),
+           n_bins=st.integers(0, 4), kind=st.sampled_from(["mls", "stft_mag"]),
+           floor_db=st.sampled_from([-70.0, 0.0, -np.inf]), transposed=st.booleans())
+    def test_pooled_pad_matches_two_step_form(self, data, factor, n_frames, n_bins,
+                                              kind, floor_db, transposed):
+        # floor_db -inf makes the fill -inf (mls) or 0.0 (stft_mag), so the
+        # values below tie with it, signed zeros included.
+        params = PipelineParams(sr=1, hop=1, floor_db=floor_db,
+                                lag_seconds=float(data.draw(
+                                    st.integers(0, 4).map(lambda k: k * factor)
+                                    | st.integers(0, n_frames + 2 * factor),
+                                    label="lag_frames")))
+        values = data.draw(arrays(
+            np.float64, (n_bins, n_frames),
+            elements=st.sampled_from([0.0, -0.0, 1.0, -70.0, 10.0 ** (-70.0 / 20.0),
+                                      np.inf, -np.inf, np.nan])
+            | st.floats(allow_nan=False)), label="values")
+        if transposed:  # the STFT's layout: a transposed frame-major array
+            values = np.ascontiguousarray(values.T).T
+        front = FeatureMatrix(values=values, hop_seconds=0.25, pool_factor=2,
+                              pad_frames=3, kind=kind)
+        pooled = pad_noise_floor(front, params, factor)
+
+        padded = pad_noise_floor_by_hstack(front, params)
+        want = max_pool_time_by_padding(padded, factor)
+        assert np.array_equal(pooled.values, want, equal_nan=True)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(pooled.values[number]), np.signbit(want[number]))
+        assert pooled.values.dtype == np.float64 and pooled.values.flags.c_contiguous
+        assert not np.shares_memory(pooled.values, values)
+        two_step = max_pool_time(replace(front, values=padded,
+                                         pad_frames=front.pad_frames + params.lag_frames),
+                                 factor)
+        assert (pooled.hop_seconds, pooled.pool_factor, pooled.pad_frames, pooled.kind) == (
+            two_step.hop_seconds, two_step.pool_factor, two_step.pad_frames, two_step.kind)
+
+    def test_rejects_factor_below_one(self, params):
+        mls = mel_log_spectrogram(random_audio(1, 0.2), params)
+        with pytest.raises(ValueError, match="pool factor"):
+            pad_noise_floor(mls, params, 0)
+
+
+class TestFrontEnd:
+    def test_chroma_series_never_builds_the_padded_stft(self, params):
+        front = FrontEnd(random_audio(3, 20.0), params)
+        stft = front.stft
+        padded_bytes = stft.n_bins * (params.lag_frames + stft.n_frames) * 8
+        tracemalloc.start()
+        try:
+            front.series("chroma", params.pool_single)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < padded_bytes
 
 
 class TestDctFeatures:

@@ -2,13 +2,17 @@
 
 Reads the end-to-end records (``--trace 0``) that ``perfbench/run.py``
 leaves under ``<checkout>/.perfbench_work/records/`` in a parent checkout
-and a change checkout, and writes the median, min and max of every
-end-to-end metric per workload and side, with the seeds, git revision and
-whether every run was correct:
+and a change checkout, and writes the median, quartiles, min and max of
+every end-to-end metric per workload and side, with the seeds, git revision
+and whether every run was correct.  Runs of the two sides that share a
+workload and seed are pairs; for each metric it counts the pairs the change
+wins, in the direction the change checkout's ``BENCHMARK.json`` calls
+better (a tie is no win):
 
     python3 tools/bench_json.py PARENT_CHECKOUT CHANGE_CHECKOUT --out BENCH_<n>.json
 
-Only the records are read; the harness is not run or changed.
+Only the records and ``BENCHMARK.json`` are read; the harness is not run or
+changed.
 """
 
 import argparse
@@ -31,27 +35,51 @@ def load_records(checkout: str) -> list:
     return records
 
 
-def summarize(records: list) -> dict:
-    """Per workload: run count, seeds, revisions, correctness and metric spreads."""
-    by_workload = {}
-    for rec in records:
-        by_workload.setdefault(rec["env"]["workload"], []).append(rec)
-    out = {}
-    for workload, runs in sorted(by_workload.items()):
-        metrics = {}
-        for name, m in runs[0]["metrics"].items():
-            values = [r["metrics"][name]["value"] for r in runs]
-            metrics[name] = {"unit": m["unit"], "median": statistics.median(values),
-                             "min": min(values), "max": max(values)}
-        out[workload] = {
-            "runs": len(runs),
-            "seeds": sorted(r["env"]["seed"] for r in runs),
-            "git_rev": sorted({r["env"]["git_rev"] for r in runs}),
-            "all_correct": all(all(r["checks"].values()) and not r["errors"]
-                               for r in runs),
-            "metrics": metrics,
-        }
-    return out
+def load_directions(checkout: str) -> dict:
+    """End-to-end metric name -> ``"higher"`` or ``"lower"``, from BENCHMARK.json."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def quartiles(values: list) -> tuple:
+    """First and third quartiles, interpolated linearly between order statistics."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def pair_wins(parent: list, change: list, directions: dict) -> dict:
+    """Seeds both sides ran and, per metric, the pairs the change wins."""
+    parent_by_seed = {r["env"]["seed"]: r["metrics"] for r in parent}
+    pairs = {r["env"]["seed"]: (parent_by_seed[r["env"]["seed"]], r["metrics"])
+             for r in change if r["env"]["seed"] in parent_by_seed}
+    wins = {}
+    for name, better in directions.items():
+        sign = 1 if better == "higher" else -1
+        shared = [(p[name]["value"], c[name]["value"]) for p, c in pairs.values()
+                  if name in p and name in c]
+        if shared:
+            wins[name] = sum(sign * (c - p) > 0 for p, c in shared)
+    return {"seeds": sorted(pairs), "change_wins": wins}
+
+
+def summarize(runs: list) -> dict:
+    """Run count, seeds, revisions, correctness and metric spreads of one side."""
+    metrics = {}
+    for name, m in runs[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in runs]
+        q1, q3 = quartiles(values)
+        metrics[name] = {"unit": m["unit"], "median": statistics.median(values),
+                         "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
+    return {
+        "runs": len(runs),
+        "seeds": sorted(r["env"]["seed"] for r in runs),
+        "git_rev": sorted({r["env"]["git_rev"] for r in runs}),
+        "all_correct": all(all(r["checks"].values()) and not r["errors"]
+                           for r in runs),
+        "metrics": metrics,
+    }
 
 
 def main(argv=None) -> int:
@@ -60,15 +88,28 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="checkout of the change")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    sides = {side: summarize(load_records(path))
-             for side, path in zip(SIDES, (args.parent, args.change))}
-    if not all(sides.values()):
+    checkouts = dict(zip(SIDES, (args.parent, args.change)))
+    runs = {}
+    for side, path in checkouts.items():
+        runs[side] = {}
+        for rec in load_records(path):
+            runs[side].setdefault(rec["env"]["workload"], []).append(rec)
+    if not all(runs.values()):
         print("error: no end-to-end records in "
-              + ", ".join(p for s, p in zip(SIDES, (args.parent, args.change))
-                          if not sides[s]), file=sys.stderr)
+              + ", ".join(checkouts[s] for s in SIDES if not runs[s]), file=sys.stderr)
         return 1
-    workloads = sorted(set(sides["parent"]) | set(sides["change"]))
-    result = {w: {side: sides[side].get(w) for side in SIDES} for w in workloads}
+    try:
+        directions = load_directions(args.change)
+    except OSError as exc:
+        print(f"error: cannot read the metric directions: {exc}", file=sys.stderr)
+        return 1
+    result = {}
+    for workload in sorted(set(runs["parent"]) | set(runs["change"])):
+        sides = {side: runs[side].get(workload, []) for side in SIDES}
+        result[workload] = {side: summarize(sides[side]) if sides[side] else None
+                            for side in SIDES}
+        result[workload]["pairs"] = pair_wins(sides["parent"], sides["change"],
+                                              directions)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
