@@ -1,8 +1,9 @@
 """The scoring layer: tolerance windows, maximum matching, F-beta.
 
-Shows how predicted boundaries are paired with references, why the pairing
-must be a maximum matching rather than a greedy nearest-first pass, and how
-per-track scores aggregate into the corpus table.
+Shows how predicted boundaries are paired with references in one pass over
+the two sorted time lists, why the pairing must be a maximum matching rather
+than a greedy nearest-first pass, and how per-track scores aggregate into
+the corpus table.
 """
 
 from songseg import BoundarySet, match_boundaries, prf, score_corpus
@@ -20,12 +21,13 @@ p, r, f1 = prf(m, beta=1.0)
 print(f"precision {p:.3f}  recall {r:.3f}  F1 {f1:.3f}")
 
 # ---------------------------------------------------------------------------
-# Why maximum matching matters: a greedy nearest-first pass would pair the
-# estimate at 1.2 with the reference at 1.4 (its nearest), stranding both
-# remaining boundaries. The maximum matching finds two hits.
+# Why maximum matching matters: a greedy nearest-first pass takes the closest
+# pair, 1.3 with 1.4, and strands the reference at 1.0, since 1.9 is out of
+# its window. Pairing each reference in time order with the first free
+# estimate in its window is a maximum matching and finds two hits.
 # ---------------------------------------------------------------------------
 ref = BoundarySet([1.0, 1.4])
-est = BoundarySet([1.2, 1.9])
+est = BoundarySet([1.3, 1.9])
 m = match_boundaries(ref, est, tolerance=0.5)
 print(f"\ngreedy-trap case: tp={m.tp} (greedy nearest-first would report 1)")
 print(f"pairs: {m.pairs}")

@@ -77,8 +77,8 @@ def parse_functions_file(path) -> BoundarySet:
     """Parse a ``seconds<TAB>label`` file, dropping the first (start) entry.
 
     Lines are sorted and deduplicated before the first is removed, so input
-    ordering does not matter.  A malformed or non-finite time token raises
-    :class:`FormatError` naming the line.
+    ordering does not matter.  A malformed, non-finite or negative time token
+    raises :class:`FormatError` naming the line.
     """
     times = []
     with open(path, encoding="utf-8") as fh:
@@ -107,8 +107,8 @@ def write_functions_file(path, boundaries: BoundarySet) -> None:
 def read_boundary_file(path) -> BoundarySet:
     """Read plain predicted boundaries, one time in seconds per line.
 
-    A malformed or non-finite time raises :class:`FormatError` naming the
-    line.
+    A malformed, non-finite or negative time raises :class:`FormatError`
+    naming the line.
     """
     times = []
     with open(path, encoding="utf-8") as fh:
@@ -120,13 +120,16 @@ def read_boundary_file(path) -> BoundarySet:
 
 
 def _parse_time(token: str, path, lineno: int) -> float:
-    """A finite time in seconds, or :class:`FormatError` at ``path:lineno``."""
+    """A finite, non-negative time in seconds, or :class:`FormatError` at
+    ``path:lineno``."""
     try:
         t = float(token)
     except ValueError:
         raise FormatError(f"{path}:{lineno}: cannot parse time from {token!r}") from None
     if not math.isfinite(t):
         raise FormatError(f"{path}:{lineno}: time {token!r} is not finite")
+    if t < 0:
+        raise FormatError(f"{path}:{lineno}: time {token!r} is negative")
     return t
 
 

@@ -1,9 +1,10 @@
 """Tolerance-window boundary scoring.
 
 A predicted boundary counts as a hit when it can be paired with a reference
-boundary within the tolerance window, each side used at most once; pairing
-is a maximum-cardinality bipartite matching, not a greedy pass (greedy can
-under-count, see the tests).  Scores aggregate per track first; corpus
+boundary within the tolerance window, each side used at most once.  The
+pairing is a maximum-cardinality matching, found by one pass over the two
+sorted time lists; a nearest-first greedy pass is not maximum and can
+under-count (see the tests).  Scores aggregate per track first; corpus
 numbers are the mean and population standard deviation of per-track scores.
 """
 
@@ -41,38 +42,26 @@ def match_boundaries(ref: BoundarySet, est: BoundarySet,
                      tolerance: float) -> MatchResult:
     """Maximum matching between reference and estimated boundaries.
 
-    Edges connect pairs with ``|ref - est| <= tolerance``; the matching is
-    grown with augmenting paths so its size is maximal.
+    A pair is a hit when ``abs(ref - est) <= tolerance``.  For one reference
+    the estimates it accepts form a contiguous run of the sorted times, and
+    both ends of the run only move right as the reference does, so pairing
+    each reference in time order with the first free estimate of its run is
+    maximum (an exchange argument).  Pairs come out sorted.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    ref_times = ref.times
-    est_times = est.times
-    adjacency = [
-        [j for j, e in enumerate(est_times) if abs(r - e) <= tolerance]
-        for r in ref_times
-    ]
-    est_match = [-1] * len(est_times)
-
-    def augment(i, visited):
-        for j in adjacency[i]:
-            if visited[j]:
-                continue
-            visited[j] = True
-            if est_match[j] < 0 or augment(est_match[j], visited):
-                est_match[j] = i
-                return True
-        return False
-
-    tp = 0
-    for i in range(len(ref_times)):
-        if augment(i, [False] * len(est_times)):
-            tp += 1
-    pairs = [(float(ref_times[i]), float(est_times[j]))
-             for j, i in enumerate(est_match) if i >= 0]
-    pairs.sort()
-    return MatchResult(tp=tp, fp=len(est_times) - tp, fn=len(ref_times) - tp,
-                       pairs=pairs)
+    est_times = est.times.tolist()
+    pairs = []
+    j = 0
+    for r in ref.times.tolist():
+        # estimates left of this window are left of every later one too
+        while j < len(est_times) and r - est_times[j] > tolerance:
+            j += 1
+        if j < len(est_times) and abs(r - est_times[j]) <= tolerance:
+            pairs.append((r, est_times[j]))
+            j += 1
+    tp = len(pairs)
+    return MatchResult(tp=tp, fp=len(est) - tp, fn=len(ref) - tp, pairs=pairs)
 
 
 def prf(m: MatchResult, beta: float = 1.0):

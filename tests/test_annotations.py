@@ -10,6 +10,11 @@ from songseg.errors import FormatError
 
 FRAME_RATE = 44100 / (1024 * 6)
 
+# time tokens both parsers reject, with the reason they give
+BAD_TIMES = [("nan", "not finite"), ("inf", "not finite"), ("-inf", "not finite"),
+             ("Infinity", "not finite"), ("-1.5", "negative")]
+BAD_TIME_IDS = [token for token, _ in BAD_TIMES]
+
 
 class TestBoundarySet:
     def test_sorts_and_dedupes(self):
@@ -45,12 +50,17 @@ class TestParseFunctionsFile:
         with pytest.raises(FormatError, match=":2:"):
             parse_functions_file(path)
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity"])
-    def test_non_finite_time_reports_line(self, tmp_path, token):
+    @pytest.mark.parametrize("token, problem", BAD_TIMES, ids=BAD_TIME_IDS)
+    def test_non_finite_time_reports_line(self, tmp_path, token, problem):
         path = tmp_path / "bad.txt"
         path.write_text(f"0.0\tstart\n12.5\tVerse\n{token}\tChorus\n")
-        with pytest.raises(FormatError, match=f"{path}:3: .*not finite"):
+        with pytest.raises(FormatError, match=f"{path}:3: time '{token}' is {problem}"):
             parse_functions_file(path)
+
+    def test_negative_zero_is_a_time(self, tmp_path):
+        path = tmp_path / "start.txt"
+        path.write_text("-0.0\tstart\n12.5\tVerse\n")
+        assert parse_functions_file(path) == BoundarySet([12.5])
 
     def test_write_parse_roundtrip(self, tmp_path):
         original = BoundarySet([3.25, 17.816326530612244, 60.0])
@@ -71,12 +81,17 @@ class TestBoundaryFiles:
         path.write_text("")
         assert len(read_boundary_file(path)) == 0
 
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity"])
-    def test_non_finite_time_reports_line(self, tmp_path, token):
+    @pytest.mark.parametrize("token, problem", BAD_TIMES, ids=BAD_TIME_IDS)
+    def test_non_finite_time_reports_line(self, tmp_path, token, problem):
         path = tmp_path / "est.txt"
         path.write_text(f"2.25\n\n{token}\n")
-        with pytest.raises(FormatError, match=f"{path}:3: .*not finite"):
+        with pytest.raises(FormatError, match=f"{path}:3: time '{token}' is {problem}"):
             read_boundary_file(path)
+
+    def test_negative_zero_is_a_time(self, tmp_path):
+        path = tmp_path / "est.txt"
+        path.write_text("-0.0\n2.25\n")
+        assert read_boundary_file(path) == BoundarySet([0.0, 2.25])
 
     def test_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "est.txt"

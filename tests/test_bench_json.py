@@ -23,11 +23,14 @@ def _record(checkout, workload, seed, trace, rate, ok=True, **metrics):
 
 
 def _benchmark(checkout):
-    """A BENCHMARK.json naming the better direction of the test metrics."""
+    """A BENCHMARK.json naming the better direction of the test metrics.
+
+    ``sweep_s`` has no bound, so it gets no verdict.
+    """
     checkout.mkdir(parents=True, exist_ok=True)
     (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "extract_audio_s_per_s", "better": "higher"},
-        {"name": "train_epoch_s", "better": "lower"},
+        {"name": "extract_audio_s_per_s", "better": "higher", "bound": 0.25},
+        {"name": "train_epoch_s", "better": "lower", "bound": 0.25},
         {"name": "sweep_s", "better": "lower"}]}))
 
 
@@ -96,3 +99,38 @@ def test_missing_benchmark_json_exit_1(tmp_path, capsys):
                             "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: cannot read the metric directions")
     assert not out.exists()
+
+
+def test_verdicts_per_workload_and_bounded_metric(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # workload: (parent rates, change rates, parent epoch s, change epoch s);
+    # sweep_s is recorded but has no bound
+    cases = {
+        # rate 1.6% lower: ok; epoch 50% longer, lower is better: worse
+        "steady": ((300.0, 310.0, 320.0), (300.0, 305.0, 310.0), 0.40, 0.60),
+        # rate 32% lower: worse; epoch 25% shorter: ok
+        "slower": ((300.0, 310.0, 320.0), (200.0, 210.0, 220.0), 0.40, 0.30),
+        # the parent's quartiles lie 200 apart around a median of 300, wider
+        # than the 25% bound, so a regression of that size cannot be told
+        "noisy": ((100.0, 300.0, 500.0), (290.0, 300.0, 310.0), 0.40, 0.40),
+        # as noisy, but every change run beats every parent run
+        "dominant": ((100.0, 300.0, 500.0), (600.0, 700.0, 800.0), 0.40, 0.40),
+    }
+    for workload, (p_rates, c_rates, p_epoch, c_epoch) in cases.items():
+        for seed, (p_rate, c_rate) in enumerate(zip(p_rates, c_rates)):
+            _record(parent, workload, seed, 0, p_rate, train_epoch_s=p_epoch,
+                    sweep_s=0.01)
+            _record(change, workload, seed, 0, c_rate, train_epoch_s=c_epoch,
+                    sweep_s=0.02)
+    _record(change, "change-only", 1, 0, 700.0)
+    _benchmark(change)
+    out = tmp_path / "bench.json"
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 0
+    got = {workload: v["verdicts"] for workload, v in json.loads(out.read_text()).items()}
+    assert got == {
+        "steady": {"extract_audio_s_per_s": "ok", "train_epoch_s": "worse"},
+        "slower": {"extract_audio_s_per_s": "worse", "train_epoch_s": "ok"},
+        "noisy": {"extract_audio_s_per_s": "unresolved", "train_epoch_s": "ok"},
+        "dominant": {"extract_audio_s_per_s": "ok", "train_epoch_s": "ok"},
+        "change-only": {},
+    }

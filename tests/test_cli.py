@@ -381,6 +381,39 @@ def test_evaluate_without_common_ids_exits_1(workspace, tmp_path, capsys):
     assert "error: no track ids in common" in capsys.readouterr().err
 
 
+def _evaluate_dirs(tmp_path, ref_text, est_text):
+    """A reference and an estimate directory holding one track, ``t``."""
+    refs, ests = tmp_path / "refs", tmp_path / "est"
+    for d, text in ((refs, ref_text), (ests, est_text)):
+        d.mkdir()
+        (d / "t.txt").write_text(text)
+    return refs, ests
+
+
+@pytest.mark.parametrize("side, token", [("refs", "-1.5"), ("est", "-0.5")])
+def test_evaluate_negative_time_exits_1(tmp_path, capsys, side, token):
+    ref_time, est_time = (token, "2.0") if side == "refs" else ("2.0", token)
+    refs, ests = _evaluate_dirs(tmp_path, f"0.0\tstart\n{ref_time}\tintro\n",
+                                f"4.0\n{est_time}\n")
+    bad = tmp_path / side / "t.txt"
+    assert main(["evaluate", "--ref-dir", str(refs), "--est-dir", str(ests)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:2: time '{token}' is negative"]
+
+
+def test_evaluate_thousands_of_interleaved_boundaries(tmp_path, capsys):
+    # 3000 references 0.3 s apart, each estimate 0.2 s after one: every
+    # estimate lies within +/-0.5 s of two references
+    times = (np.arange(1, 3001) * 0.3).tolist()
+    refs, ests = _evaluate_dirs(
+        tmp_path, "".join(f"{t!r}\tsection\n" for t in [0.0, *times]),
+        "".join(f"{t + 0.2!r}\n" for t in times))
+    assert main(["evaluate", "--ref-dir", str(refs), "--est-dir", str(ests),
+                 "--tolerance", "0.5"]) == 0
+    row = capsys.readouterr().out.splitlines()[2].split()
+    assert row[2:6] == ["1.000", "1.000", "1.000", "(0.000)"]
+
+
 def _untrained_checkpoint(workspace, path):
     from songseg.model import BoundaryNet
     from songseg.optim import init_adam

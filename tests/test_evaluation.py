@@ -52,8 +52,22 @@ class TestMatchBoundaries:
         ref, est = BoundarySet(ref), BoundarySet(est)
         m = match_boundaries(ref, est, tolerance=tolerance)
         assert m.tp == exhaustive_match_count(ref.times, est.times, tolerance)
+        # pairs form a matching of that size, in time order
+        refs_used = [r for r, _ in m.pairs]
+        ests_used = [e for _, e in m.pairs]
         assert len(m.pairs) == m.tp
+        assert len(set(refs_used)) == len(set(ests_used)) == m.tp
+        assert set(refs_used) <= set(ref.times) and set(ests_used) <= set(est.times)
         assert all(abs(r - e) <= tolerance for r, e in m.pairs)
+        assert m.pairs == sorted(m.pairs)
+
+    def test_thousands_of_interleaved_boundaries(self):
+        # every estimate lies within the window of two references, so a
+        # matcher that recurses once per reference overflows the stack here
+        ref = BoundarySet(np.arange(3000) * 0.3)
+        est = BoundarySet(np.arange(3000) * 0.3 + 0.2)
+        m = match_boundaries(ref, est, tolerance=0.5)
+        assert (m.tp, m.fp, m.fn) == (3000, 0, 0)
 
     def test_swap_symmetry(self, rng):
         ref = BoundarySet(np.sort(rng.uniform(0, 20, 5)))

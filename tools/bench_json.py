@@ -7,7 +7,8 @@ every end-to-end metric per workload and side, with the seeds, git revision
 and whether every run was correct.  Runs of the two sides that share a
 workload and seed are pairs; for each metric it counts the pairs the change
 wins, in the direction the change checkout's ``BENCHMARK.json`` calls
-better (a tie is no win):
+better (a tie is no win).  Each metric that ``BENCHMARK.json`` gives a
+bound gets a no-regression verdict per workload (see ``verdicts``):
 
     python3 tools/bench_json.py PARENT_CHECKOUT CHANGE_CHECKOUT --out BENCH_<n>.json
 
@@ -35,10 +36,10 @@ def load_records(checkout: str) -> list:
     return records
 
 
-def load_directions(checkout: str) -> dict:
-    """End-to-end metric name -> ``"higher"`` or ``"lower"``, from BENCHMARK.json."""
+def load_metrics(checkout: str) -> dict:
+    """End-to-end metric name -> its entry in BENCHMARK.json (``better``, ``bound``)."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
 
 def quartiles(values: list) -> tuple:
@@ -49,19 +50,47 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def pair_wins(parent: list, change: list, directions: dict) -> dict:
+def pair_wins(parent: list, change: list, metrics: dict) -> dict:
     """Seeds both sides ran and, per metric, the pairs the change wins."""
     parent_by_seed = {r["env"]["seed"]: r["metrics"] for r in parent}
     pairs = {r["env"]["seed"]: (parent_by_seed[r["env"]["seed"]], r["metrics"])
              for r in change if r["env"]["seed"] in parent_by_seed}
     wins = {}
-    for name, better in directions.items():
-        sign = 1 if better == "higher" else -1
+    for name, spec in metrics.items():
+        sign = 1 if spec["better"] == "higher" else -1
         shared = [(p[name]["value"], c[name]["value"]) for p, c in pairs.values()
                   if name in p and name in c]
         if shared:
             wins[name] = sum(sign * (c - p) > 0 for p, c in shared)
     return {"seeds": sorted(pairs), "change_wins": wins}
+
+
+def verdicts(parent: list, change: list, metrics: dict) -> dict:
+    """Per bounded metric, ``"ok"``, ``"worse"`` or ``"unresolved"``.
+
+    Unresolved when the parent's interquartile range exceeds the bound as a
+    share of the parent median, so the runs cannot tell a regression of that
+    size, unless every change run beats every parent run.  Otherwise worse
+    when the change median is worse than the parent median by more than the
+    bound, as a share of the parent median.  Otherwise ok.
+    """
+    result = {}
+    for name, spec in metrics.items():
+        values = [[r["metrics"][name]["value"] for r in runs if name in r["metrics"]]
+                  for runs in (parent, change)]
+        if "bound" not in spec or not all(values):
+            continue
+        sign = 1 if spec["better"] == "higher" else -1
+        p, c = ([sign * v for v in side] for side in values)
+        allowed = spec["bound"] * abs(statistics.median(p))
+        q1, q3 = quartiles(p)
+        if q3 - q1 > allowed and min(c) <= max(p):
+            result[name] = "unresolved"
+        elif statistics.median(c) < statistics.median(p) - allowed:
+            result[name] = "worse"
+        else:
+            result[name] = "ok"
+    return result
 
 
 def summarize(runs: list) -> dict:
@@ -99,7 +128,7 @@ def main(argv=None) -> int:
               + ", ".join(checkouts[s] for s in SIDES if not runs[s]), file=sys.stderr)
         return 1
     try:
-        directions = load_directions(args.change)
+        metrics = load_metrics(args.change)
     except OSError as exc:
         print(f"error: cannot read the metric directions: {exc}", file=sys.stderr)
         return 1
@@ -108,8 +137,8 @@ def main(argv=None) -> int:
         sides = {side: runs[side].get(workload, []) for side in SIDES}
         result[workload] = {side: summarize(sides[side]) if sides[side] else None
                             for side in SIDES}
-        result[workload]["pairs"] = pair_wins(sides["parent"], sides["change"],
-                                              directions)
+        result[workload]["pairs"] = pair_wins(sides["parent"], sides["change"], metrics)
+        result[workload]["verdicts"] = verdicts(sides["parent"], sides["change"], metrics)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
