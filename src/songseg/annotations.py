@@ -120,8 +120,7 @@ def read_boundary_file(path) -> BoundarySet:
 
 
 def _parse_time(token: str, path, lineno: int) -> float:
-    """A finite, non-negative time in seconds, or :class:`FormatError` at
-    ``path:lineno``."""
+    """A finite time >= 0 in seconds, or :class:`FormatError` at ``path:lineno``."""
     try:
         t = float(token)
     except ValueError:
