@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
-from .serialize import atomic_write
+from .serialize import atomic_write, read_lines
 
 # Boundaries closer than this are considered duplicates.
 DUPLICATE_EPS = 1e-9
@@ -80,13 +80,8 @@ def parse_functions_file(path) -> BoundarySet:
     ordering does not matter.  A malformed, non-finite or negative time token
     raises :class:`FormatError` naming the line.
     """
-    times = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped:
-                token = stripped.split("\t", 1)[0].split()[0]
-                times.append(_parse_time(token, path, lineno))
+    times = [_parse_time(line.split("\t", 1)[0].split()[0], path, lineno)
+             for lineno, line in read_lines(path) if line]
     canonical = BoundarySet(times)
     return BoundarySet(canonical.times[1:])
 
@@ -110,13 +105,8 @@ def read_boundary_file(path) -> BoundarySet:
     A malformed, non-finite or negative time raises :class:`FormatError`
     naming the line.
     """
-    times = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped:
-                times.append(_parse_time(stripped, path, lineno))
-    return BoundarySet(times)
+    return BoundarySet(_parse_time(line, path, lineno)
+                       for lineno, line in read_lines(path) if line)
 
 
 def _parse_time(token: str, path, lineno: int) -> float:
@@ -206,13 +196,11 @@ def save_split_manifest(path, split: DatasetSplit) -> None:
 def load_split_manifest(path) -> DatasetSplit:
     split = DatasetSplit()
     buckets = {"train": split.train, "val": split.validation, "test": split.test}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2 or parts[1] not in buckets:
-                raise FormatError(f"{path}:{lineno}: expected 'id<TAB>train|val|test'")
-            buckets[parts[1]].append(parts[0])
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or parts[1] not in buckets:
+            raise FormatError(f"{path}:{lineno}: expected 'id<TAB>train|val|test'")
+        buckets[parts[1]].append(parts[0])
     return split

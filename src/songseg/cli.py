@@ -29,7 +29,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CompatibilityError, FileNotFoundError, ValueError) as exc:
+    except (CompatibilityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -179,11 +179,7 @@ def _load_examples(track_ids, features_dir, refs_dir, run):
     for tid in track_ids:
         inputs, frame_rate, pad = pipeline.load_track_input(
             features_dir, tid, run)
-        ref_path = os.path.join(refs_dir, f"{tid}.txt")
-        if not os.path.exists(ref_path):
-            raise FileNotFoundError(f"missing annotations for track {tid!r}: "
-                                    f"{ref_path}")
-        boundaries = ann.parse_functions_file(ref_path)
+        boundaries = ann.parse_functions_file(os.path.join(refs_dir, f"{tid}.txt"))
         target = ann.to_target_curve(boundaries, inputs.shape[1], frame_rate, pad)
         examples.append(training.TrackExample(
             name=tid, inputs=inputs, target=target, boundaries=boundaries))

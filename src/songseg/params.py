@@ -101,7 +101,6 @@ class RunConfig:
     sslm_inputs: tuple = ()
     epochs: int = 100
     seed: int = 0
-    split_seed: int = 0
     threshold: float = DEFAULT_MLS_THRESHOLD
 
     def __post_init__(self):
@@ -136,7 +135,7 @@ class RunConfig:
         Training-only knobs (epochs, seeds, threshold) are excluded: features
         extracted once remain valid across training reruns.
         """
-        skip = {"epochs", "seed", "split_seed", "threshold"}
+        skip = {"epochs", "seed", "threshold"}
         lines = [ln for ln in self.canonical_lines()
                  if ln.split(" = ")[0] not in skip]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
@@ -149,17 +148,18 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        from .serialize import read_lines  # serialize imports this module
+
         raw, where = {}, {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                raw[key] = value
-                where[key] = f"{path}:{lineno}: "
+        for lineno, line in read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            raw[key] = value
+            where[key] = f"{path}:{lineno}: "
         return cls.from_mapping(raw, where)
 
     @classmethod

@@ -112,8 +112,10 @@ def extract_track_features(wav_path, out_dir, run: RunConfig,
 
 def _read_meta(meta_path) -> dict:
     """The ``key<TAB>value`` entries of a track's ``.meta`` sidecar."""
-    with open(meta_path, encoding="utf-8") as fh:
-        return dict(line.strip().split("\t", 1) for line in fh if "\t" in line)
+    from .serialize import read_lines
+
+    return dict(line.split("\t", 1) for _, line in read_lines(meta_path)
+                if "\t" in line)
 
 
 def load_track_input(features_dir, track_id: str, run: RunConfig):
@@ -136,11 +138,7 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
     arrays = []
     pad_frames = run.params.final_pad
     for name in run.input_names():
-        path = os.path.join(features_dir, matrix_filename(track_id, name))
-        if not os.path.exists(path):
-            raise FileNotFoundError(
-                f"missing matrix for track {track_id!r}: {path}")
-        m = load_matrix(path)
+        m = load_matrix(os.path.join(features_dir, matrix_filename(track_id, name)))
         arrays.append(np.asarray(m.values, dtype=np.float64))
         pad_frames = m.pad_frames
     widths = {a.shape[1] for a in arrays}

@@ -16,7 +16,7 @@ from .annotations import BoundarySet
 from .evaluation import score_corpus
 from .errors import FormatError
 from .layers import sigmoid
-from .serialize import atomic_write
+from .serialize import atomic_write, read_lines
 
 SUPPRESSION_SECONDS = 6.0
 SWEEP_STEP = 0.005
@@ -143,12 +143,11 @@ def read_sweep_csv(path) -> list:
     A wrong header or a row that is not four numbers raises
     :class:`FormatError` prefixed ``path:line:``.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if lines[:1] != [SWEEP_CSV_HEADER]:
+    lines = read_lines(path)
+    if next(lines, (1, None))[1] != SWEEP_CSV_HEADER:
         raise FormatError(f"{path}:1: expected the header {SWEEP_CSV_HEADER!r}")
     rows = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in lines:
         try:  # a wrong field count is a TypeError
             rows.append(SweepRow(*map(float, line.split(","))))
         except (TypeError, ValueError):

@@ -8,10 +8,12 @@ length-prefixed named float32 tensors (model parameters and Adam moments).
 
 Every file is written to a temporary name in its directory and renamed into
 place, so an interrupted write leaves the previous file, never a partial one.
+Every line-oriented UTF-8 text file is read through :func:`read_lines`.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from contextlib import contextmanager
@@ -45,6 +47,22 @@ def atomic_write(path, mode: str = "wb", **kwargs):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def read_lines(path):
+    """Yield ``(line number, stripped line)`` for every line of a UTF-8 text file.
+
+    Lines end at LF, CRLF or a lone CR, as in text mode.  A line that is not
+    UTF-8 raises :class:`FormatError` at ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8", "surrogateescape")
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        try:  # the bytes that are not UTF-8 decoded to lone surrogates
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
+        yield lineno, line.strip()
 
 
 def save_matrix(m: FeatureMatrix, path) -> None:
@@ -115,7 +133,10 @@ class _Reader:
 
 def save_checkpoint(model: BoundaryNet, adam: AdamState, path,
                     config_hash: str, epoch: int) -> None:
-    """Persist parameters, Adam moments and counters, tagged by config hash."""
+    """Persist parameters, Adam moments and counters, tagged by a sha256 config hash."""
+    digest = bytes.fromhex(config_hash)
+    if len(digest) != 32:
+        raise ValueError(f"config hash holds {len(digest)} bytes, expected 32")
     tensors = []
     for name in PARAM_NAMES:
         tensors.append(_pack_tensor(name, model.params[name]))
@@ -125,7 +146,7 @@ def save_checkpoint(model: BoundaryNet, adam: AdamState, path,
     header = b"".join([
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
-        bytes.fromhex(config_hash).ljust(32, b"\0")[:32],
+        digest,
         struct.pack("<I", int(epoch)),
         struct.pack("<Q", int(adam.t)),
         struct.pack("<I", int(model.input_height)),
@@ -163,26 +184,28 @@ def load_checkpoint(path, expected_hash: str = None):
 
     tensors = {}
     for _ in range(n_tensors):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: checkpoint tensor name is not UTF-8") from None
         ndim = r.u32()
         shape = tuple(r.u32() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
         tensors[name] = np.frombuffer(r.take(count * 4), dtype="<f4").reshape(shape).copy()
 
-    if expected_hash is not None and stored_hash != _normalize_hash(expected_hash):
+    if expected_hash is not None and stored_hash != expected_hash:
         raise CompatibilityError(
             f"{path}: checkpoint pipeline hash {stored_hash[:12]}... does not "
-            f"match expected {_normalize_hash(expected_hash)[:12]}..."
+            f"match expected {expected_hash[:12]}..."
         )
 
     model = BoundaryNet(input_height=input_height)
-    model.load_params({name: tensors[name] for name in PARAM_NAMES})
     adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=adam_t)
-    for name in PARAM_NAMES:
-        adam.m[name] = tensors[f"adam.m/{name}"]
-        adam.v[name] = tensors[f"adam.v/{name}"]
+    try:
+        model.load_params({name: tensors[name] for name in PARAM_NAMES})
+        for name in PARAM_NAMES:
+            adam.m[name] = tensors[f"adam.m/{name}"]
+            adam.v[name] = tensors[f"adam.v/{name}"]
+    except KeyError as exc:
+        raise FormatError(f"{path}: checkpoint lacks tensor {exc}") from None
     return model, adam, epoch, stored_hash
-
-
-def _normalize_hash(h: str) -> str:
-    return bytes.fromhex(h).ljust(32, b"\0")[:32].hex()

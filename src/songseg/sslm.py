@@ -34,7 +34,7 @@ import numpy as np
 from .audio import AudioBuffer
 from .errors import InputTooShortError
 from .layers import sigmoid
-from .params import PipelineParams
+from .params import POOLINGS, PipelineParams
 from .spectral import (
     FeatureMatrix,
     _max_pool_into,
@@ -79,7 +79,7 @@ class SslmConfig:
             raise ValueError(f"unknown feature {self.feature!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.pooling not in ("pool6", "pool2_3"):
+        if self.pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r}")
 
     @property

@@ -16,6 +16,9 @@ from .params import DEFAULT_MLS_THRESHOLD
 from .postprocess import from_logits, pick_peaks
 from .serialize import atomic_write
 
+# Hit-rate tolerance, in seconds, of the per-epoch precision/recall/F1 log.
+SCORE_TOLERANCE = 0.5
+
 
 @dataclass
 class TrackExample:
@@ -39,7 +42,6 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    model: BoundaryNet
     adam: AdamState
     log: list
     best_params: dict
@@ -48,11 +50,11 @@ class TrainResult:
     best_val_loss: float
 
 
-def _score(ex, logits, threshold, tolerance):
+def _score(ex, logits, threshold):
     """Precision, recall and F1 of the peaks picked from one logit curve."""
     curve = from_logits(logits, ex.target.frame_rate, ex.target.pad_frames)
     est = pick_peaks(curve, threshold)
-    return prf(match_boundaries(ex.boundaries, est, tolerance))
+    return prf(match_boundaries(ex.boundaries, est, SCORE_TOLERANCE))
 
 
 def _epoch_stats(epoch, split, losses, scores) -> EpochStats:
@@ -70,7 +72,6 @@ def train(
     val_set=None,
     lr: float = 0.001,
     threshold: float = DEFAULT_MLS_THRESHOLD,
-    tolerance: float = 0.5,
 ) -> TrainResult:
     """Train in place for ``epochs`` passes over ``train_set``.
 
@@ -109,7 +110,7 @@ def train(
             epoch_losses.append(loss)
             # score the step's own forward pass rather than re-running the
             # whole split after the epoch
-            step_scores.append(_score(ex, logits, threshold, tolerance))
+            step_scores.append(_score(ex, logits, threshold))
 
         log.append(_epoch_stats(epoch, "train", epoch_losses, step_scores))
         if val_set:
@@ -117,7 +118,7 @@ def train(
             for ex in val_set:
                 logits = model.forward(ex.inputs)
                 val_losses.append(bce_with_logits(logits, ex.target.values)[0])
-                val_scores.append(_score(ex, logits, threshold, tolerance))
+                val_scores.append(_score(ex, logits, threshold))
             log.append(_epoch_stats(epoch, "val", val_losses, val_scores))
         monitored = log[-1].loss
         if monitored < best_val_loss:
@@ -126,7 +127,7 @@ def train(
             best_params = model.copy_params()
             best_adam = copy.deepcopy(adam)
 
-    return TrainResult(model=model, adam=adam, log=log,
+    return TrainResult(adam=adam, log=log,
                        best_params=best_params, best_adam=best_adam,
                        best_epoch=best_epoch, best_val_loss=float(best_val_loss))
 

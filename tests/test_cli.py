@@ -414,6 +414,51 @@ def test_evaluate_thousands_of_interleaved_boundaries(tmp_path, capsys):
     assert row[2:6] == ["1.000", "1.000", "1.000", "(0.000)"]
 
 
+def _ref_is_a_directory(tmp_path):
+    refs, ests = _evaluate_dirs(tmp_path, "0.0\tstart\n", "1.0\n")
+    (refs / "t.txt").unlink()
+    (refs / "t.txt").mkdir()
+    return ["evaluate", "--ref-dir", str(refs), "--est-dir", str(ests)], refs / "t.txt"
+
+
+def _csv_is_a_directory(tmp_path):
+    return ["plot", "--csv", str(tmp_path), "--out", str(tmp_path / "p.svg")], tmp_path
+
+
+def _utf16_estimate(tmp_path):
+    refs, ests = _evaluate_dirs(tmp_path, "0.0\tstart\n", "")
+    (ests / "t.txt").write_bytes("1.0\n".encode("utf-16"))  # starts FF FE
+    return ["evaluate", "--ref-dir", str(refs), "--est-dir", str(ests)], ests / "t.txt"
+
+
+def _latin1_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("epochs = 3\n# fr\u00e9quence\n".encode("latin-1"))
+    return ["features", "--config", str(cfg), "--audio-dir", str(tmp_path),
+            "--out", str(tmp_path / "feats")], cfg
+
+
+def _latin1_sweep_csv(tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_bytes(b"threshold,precision,recall,f_beta\n0.000,1.0,1.0,\xb5\n")
+    return ["plot", "--csv", str(csv_path), "--out", str(tmp_path / "p.svg")], csv_path
+
+
+@pytest.mark.parametrize("case, message", [
+    (_ref_is_a_directory, "Is a directory"),
+    (_csv_is_a_directory, "Is a directory"),
+    (_utf16_estimate, ":1: not UTF-8 text"),
+    (_latin1_config, ":2: not UTF-8 text"),
+    (_latin1_sweep_csv, ":2: not UTF-8 text"),
+], ids=["ref-dir", "csv-dir", "utf16-estimate", "latin1-config", "latin1-csv"])
+def test_unreadable_input_file_exits_1(tmp_path, capsys, case, message):
+    argv, bad = case(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(bad) in err[0] and message in err[0]
+
+
 def _untrained_checkpoint(workspace, path):
     from songseg.model import BoundaryNet
     from songseg.optim import init_adam
@@ -434,6 +479,16 @@ def test_predict_track_without_features_exits_1(workspace, tmp_path, capsys):
     assert err.startswith("error:") and "ghost" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "ghost.txt").exists()
+
+
+def test_predict_header_only_checkpoint_exits_1(workspace, tmp_path, capsys):
+    ckpt = _untrained_checkpoint(workspace, tmp_path / "c.ckpt")
+    ckpt.write_bytes(ckpt.read_bytes()[:92] + bytes(4))  # a tensor count of 0
+    assert main(["predict", "--config", str(workspace["cfg"]),
+                 "--checkpoint", str(ckpt), "--features", str(workspace["feats"]),
+                 "--track", "track000", "--out", str(tmp_path / "b.txt")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ckpt}: checkpoint lacks tensor 'conv1.w'"]
 
 
 @pytest.mark.parametrize("text, line", [

@@ -1,5 +1,7 @@
 import builtins
 import os
+import re
+import struct
 import tempfile
 from dataclasses import fields
 
@@ -17,10 +19,11 @@ from songseg.model import BoundaryNet
 from songseg.optim import init_adam
 from songseg.params import SSLM_VARIANTS, PipelineParams, RunConfig
 from songseg import serialize
+from songseg.pipeline import _read_meta
 from songseg.serialize import (load_checkpoint, load_matrix, save_checkpoint,
                                save_matrix)
 from songseg.spectral import FeatureMatrix
-from songseg.postprocess import SweepRow, write_sweep_csv
+from songseg.postprocess import SweepRow, read_sweep_csv, write_sweep_csv
 from songseg.svgplot import save_line_plot
 from songseg.training import EpochStats, TrackExample, train, write_log_csv
 
@@ -116,6 +119,11 @@ def _assert_checkpoint_equal(model, adam, model2, adam2):
         (adam2.lr, adam2.beta1, adam2.beta2, adam2.eps)
 
 
+# Offsets into a checkpoint: the tensor count (the last header field) and
+# the first byte of the first tensor name.
+_COUNT_AT, _NAME_AT = 92, 100
+
+
 class TestCheckpoint:
     def test_fresh_model_roundtrip(self, tmp_path):
         run = RunConfig()
@@ -182,6 +190,30 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\0" * 64)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d[:_COUNT_AT] + struct.pack("<I", 0),
+         "checkpoint lacks tensor 'conv1.w'"),
+        (lambda d: d[:_NAME_AT] + b"\xff" + d[_NAME_AT + 1:],
+         "checkpoint tensor name is not UTF-8"),
+    ], ids=["header-only", "bad-name"])
+    def test_malformed_tensor_table_names_file(self, tmp_path, damage, message):
+        path = tmp_path / "c.ckpt"
+        model = BoundaryNet(input_height=12)
+        save_checkpoint(model, init_adam(model.params), path,
+                        RunConfig().pipeline_hash(), epoch=1)
+        data = path.read_bytes()
+        assert data[_NAME_AT - 4:_NAME_AT + 7] == struct.pack("<I", 7) + b"conv1.w"
+        path.write_bytes(damage(data))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_checkpoint(path, expected_hash=RunConfig().pipeline_hash())
+
+    def test_hash_of_other_length_rejected(self, tmp_path):
+        model = BoundaryNet(input_height=12)
+        path = tmp_path / "c.ckpt"
+        with pytest.raises(ValueError, match="31 bytes"):
+            save_checkpoint(model, init_adam(model.params), path, "ab" * 31, epoch=0)
+        assert not path.exists()
 
 
 class _FailAfterFirstWrite:
@@ -279,7 +311,7 @@ def test_failed_text_write_keeps_previous_file(tmp_path, monkeypatch, name):
 class TestRunConfigHash:
     def test_training_knobs_do_not_change_hash(self):
         a = RunConfig(epochs=10, seed=1)
-        b = RunConfig(epochs=500, seed=99, split_seed=7, threshold=0.4)
+        b = RunConfig(epochs=500, seed=99, threshold=0.4)
         assert a.pipeline_hash() == b.pipeline_hash()
 
     def test_pipeline_knobs_change_hash(self):
@@ -291,7 +323,7 @@ class TestRunConfigHash:
     def test_config_file_roundtrip(self, tmp_path):
         run = RunConfig(pooling="pool2_3", include_mls=True,
                         sslm_inputs=("mfcc-euclidean", "chroma-cosine"),
-                        epochs=42, seed=3, split_seed=9, threshold=0.24)
+                        epochs=42, seed=3, threshold=0.24)
         path = tmp_path / "run.cfg"
         run.to_file(path)
         back = RunConfig.from_file(path)
@@ -315,7 +347,7 @@ class TestRunConfigHash:
                                 floor_db=-60.0)
         run = RunConfig(params=params, pooling="pool2_3", include_mls=False,
                         sslm_inputs=("mfcc-cosine", "chroma-euclidean"),
-                        epochs=7, seed=11, split_seed=5, threshold=0.3)
+                        epochs=7, seed=11, threshold=0.3)
         for obj, default in ((params, PipelineParams()), (run, RunConfig())):
             for f in fields(obj):
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
@@ -370,3 +402,47 @@ class TestRunConfigHash:
         path.write_text("epoch = 1\n")
         with pytest.raises(FormatError, match="epoch"):
             RunConfig.from_file(path)
+        # removed: the split comes from `songseg synth --split-seed`
+        path.write_text("split_seed = 0\n")
+        with pytest.raises(FormatError, match="unknown config key\\(s\\): split_seed$"):
+            RunConfig.from_file(path)
+
+
+# Each line-oriented text reader, a file of three lines it accepts, and what
+# it parses them to.
+_TEXT_READERS = {
+    "functions": (ann.parse_functions_file,
+                  ["0.0\tstart", "12.5\tverse", "40.25\tchorus"],
+                  BoundarySet([12.5, 40.25])),
+    "boundaries": (ann.read_boundary_file, ["2.25", "9.5", "12.0"],
+                   BoundarySet([2.25, 9.5, 12.0])),
+    "split": (ann.load_split_manifest, ["a\ttrain", "b\tval", "c\ttest"],
+              ann.DatasetSplit(train=["a"], validation=["b"], test=["c"])),
+    "config": (RunConfig.from_file, ["epochs = 3", "seed = 4  # comment", "pooling = pool2_3"],
+               RunConfig(epochs=3, seed=4, pooling="pool2_3")),
+    "sweep": (read_sweep_csv, ["threshold,precision,recall,f_beta",
+                               "0.000,1.0,0.5,0.6", "0.005,0.5,0.25,0.3"],
+              [SweepRow(0.0, 1.0, 0.5, 0.6), SweepRow(0.005, 0.5, 0.25, 0.3)]),
+    "meta": (_read_meta, ["pipeline_hash\tab", "audio_sha256\tcd", "inputs\tmls"],
+             {"pipeline_hash": "ab", "audio_sha256": "cd", "inputs": "mls"}),
+}
+_ENDINGS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+@pytest.mark.parametrize("reader", sorted(_TEXT_READERS))
+class TestTextReaders:
+    def test_every_line_ending_parses_alike(self, tmp_path, reader, ending):
+        read, lines, expected = _TEXT_READERS[reader]
+        path = tmp_path / "in.txt"
+        path.write_bytes("".join(line + _ENDINGS[ending] for line in lines).encode())
+        assert read(path) == expected
+
+    def test_non_utf8_byte_reports_its_line(self, tmp_path, reader, ending):
+        read, lines, _ = _TEXT_READERS[reader]
+        path = tmp_path / "in.txt"
+        eol = _ENDINGS[ending].encode()
+        path.write_bytes(lines[0].encode() + eol + b"\xff" + lines[1].encode()
+                         + eol + lines[2].encode() + eol)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
+            read(path)
