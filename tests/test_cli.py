@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line surface on a tiny corpus."""
 
+import hashlib
 import os
 import shutil
 
@@ -270,6 +271,27 @@ def test_synth_rejects_before_writing(tmp_path, capsys, extra, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
+
+
+# SHA-256 over every file ``songseg synth --tracks 3`` writes (relative path,
+# then bytes, in sorted order).  The bytes must not depend on the number of
+# processes that render the segments.
+SYNTH_DIGESTS = {
+    0: "6d273b39c1d1b7f16002713eb57713489fff4c4da0258ac4fe839c698b629a83",
+    20: "df902dfc9ca355361e3ddfece91e50e5466f304c0a9213c562e6614a804824cd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_DIGESTS))
+def test_synth_files_pinned(tmp_path, seed):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), "--seed", str(seed),
+                 "--tracks", "3"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(out).as_posix().encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == SYNTH_DIGESTS[seed]
 
 
 def test_features_partial_failure(workspace, tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 The digests are computed in one child process with the BLAS thread count
 pinned to 2, because the rounding of matrix products (mel filterbank,
-convolutions) depends on it.  They cover feature extraction with all five
-inputs under both poolings, the model's logits and gradients on Gaussian
+convolutions) depends on it.  They cover the synthesizer's samples and
+boundaries, feature extraction with all five inputs under both poolings, the model's logits and gradients on Gaussian
 input and on a real mel spectrogram, a short training run's checkpoint
 bytes and the threshold sweep on its curves.
 
@@ -43,6 +43,7 @@ GOLDEN = {
     "model_mel": "a3024b7c2bc8a336f10a3f902edce27da01f46121f5064086c819f6d606ae5ae",
     "checkpoint": "af87b09cbbc7ff96527ef49be95bca92786df13aa5221bb5e00a577256dbe54a",
     "sweep_rows": "5f02537dd834004a0f4d78065d1808d0ca604393681258c36c2854940ee14134",
+    "synth": "8e3ba9b0d444ea8b8394a8ce5c71796e6774fd2567766778455ad17a5c3d6c08",
 }
 
 
@@ -80,10 +81,22 @@ def _model_digests() -> dict:
     return out
 
 
-def _acceptance_examples(run) -> list:
-    """The seed-20 acceptance corpus as mel-input training examples."""
-    tracks = synth_corpus(seed=20, n_tracks=5, segments_per_track=(3, 5),
-                          segment_duration=(7.0, 8.0))
+def _acceptance_corpus() -> list:
+    return synth_corpus(seed=20, n_tracks=5, segments_per_track=(3, 5),
+                        segment_duration=(7.0, 8.0))
+
+
+def _synth_digest(acceptance) -> dict:
+    """Samples and boundaries of the acceptance corpus and of a short
+    2-track corpus of 12 segments."""
+    short = synth_corpus(seed=4, n_tracks=2, segments_per_track=(6, 6),
+                         segment_duration=(1.0, 2.5))
+    return {"synth": _sha(*(a for t in acceptance + short
+                            for a in (t.audio.samples, t.boundaries.times)))}
+
+
+def _acceptance_examples(run, tracks) -> list:
+    """The acceptance corpus as mel-input training examples."""
     examples = []
     for i, track in enumerate(tracks):
         mls = extract_inputs(track.audio, run)["mls"]
@@ -130,9 +143,11 @@ def compute() -> dict:
     """Every golden digest, plus the numpy and OpenBLAS versions."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     run = RunConfig()
-    examples = _acceptance_examples(run)
-    digests = {**_extraction_digests(), **_model_digests(),
-               **_mel_model_digest(examples), **_training_digests(run, examples)}
+    acceptance = _acceptance_corpus()
+    examples = _acceptance_examples(run, acceptance)
+    digests = {**_synth_digest(acceptance), **_extraction_digests(),
+               **_model_digests(), **_mel_model_digest(examples),
+               **_training_digests(run, examples)}
     return {"digests": digests,
             "versions": f"numpy {np.__version__}, {blas['name']} {blas['version']}"}
 
