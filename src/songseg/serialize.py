@@ -200,12 +200,17 @@ def load_checkpoint(path, expected_hash: str = None):
         )
 
     model = BoundaryNet(input_height=input_height)
+    for name in PARAM_NAMES:
+        expected = model.params[name].shape
+        for key in (name, f"adam.m/{name}", f"adam.v/{name}"):
+            if key not in tensors:
+                raise FormatError(f"{path}: checkpoint lacks tensor {key!r}")
+            if tensors[key].shape != expected:
+                raise FormatError(f"{path}: checkpoint tensor {key!r} has shape "
+                                  f"{tensors[key].shape}, expected {expected}")
+    model.load_params({name: tensors[name] for name in PARAM_NAMES})
     adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=adam_t)
-    try:
-        model.load_params({name: tensors[name] for name in PARAM_NAMES})
-        for name in PARAM_NAMES:
-            adam.m[name] = tensors[f"adam.m/{name}"]
-            adam.v[name] = tensors[f"adam.v/{name}"]
-    except KeyError as exc:
-        raise FormatError(f"{path}: checkpoint lacks tensor {exc}") from None
+    for name in PARAM_NAMES:
+        adam.m[name] = tensors[f"adam.m/{name}"]
+        adam.v[name] = tensors[f"adam.v/{name}"]
     return model, adam, epoch, stored_hash

@@ -112,14 +112,18 @@ def pad_noise_floor(features: FeatureMatrix, params: PipelineParams,
     track is the running maximum of the fill and its track frames, and the
     remaining blocks pool the track frames.  The result equals
     ``max_pool_time`` of the padded matrix bit for bit, as a new C-ordered
-    float64 array.
+    float64 array.  A frame-major input (the STFT) is pooled frame-major,
+    so each maximum runs over whole frames, and transposed once at the end.
     """
     if features.kind not in ("mls", "stft_mag"):
         raise ValueError(f"cannot pad feature kind {features.kind!r}")
     if factor < 1:
         raise ValueError("pool factor must be >= 1")
     n_pad = params.lag_frames
-    pooled = np.empty((features.n_bins, -(-(n_pad + features.n_frames) // factor)))
+    n_out = -(-(n_pad + features.n_frames) // factor)
+    frame_major = not features.values.flags.c_contiguous
+    pooled = (np.empty((n_out, features.n_bins)).T if frame_major
+              else np.empty((features.n_bins, n_out)))
     pad_blocks = -(-n_pad // factor)
     pooled[:, :pad_blocks] = (params.floor_db if features.kind == "mls"
                               else params.floor_amplitude)
@@ -130,7 +134,7 @@ def pad_noise_floor(features: FeatureMatrix, params: PipelineParams,
     _max_pool_into(pooled[:, pad_blocks:], features.values[:, head:], factor)
     return replace(
         features,
-        values=pooled,
+        values=np.ascontiguousarray(pooled),
         hop_seconds=features.hop_seconds * factor,
         pool_factor=features.pool_factor * factor,
         pad_frames=(features.pad_frames + n_pad) // factor,

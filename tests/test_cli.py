@@ -3,6 +3,7 @@
 import hashlib
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -264,6 +265,8 @@ def test_evaluate_warns_on_unmatched_ids(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("extra, message", [
     (["--tracks", "2"], "need at least 3 tracks"),
     (["--segments", "3", "2"], "empty segment count"),
+    (["--duration", "0.00001", "0.00001"],
+     "segment duration range (1e-05, 1e-05) s is shorter than one sample at sr=44100 Hz"),
 ])
 def test_synth_rejects_before_writing(tmp_path, capsys, extra, message):
     out = tmp_path / "corpus"
@@ -511,6 +514,20 @@ def test_predict_header_only_checkpoint_exits_1(workspace, tmp_path, capsys):
                  "--track", "track000", "--out", str(tmp_path / "b.txt")]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: {ckpt}: checkpoint lacks tensor 'conv1.w'"]
+
+
+def test_predict_checkpoint_of_other_height_exits_1(workspace, tmp_path, capsys):
+    ckpt = _untrained_checkpoint(workspace, tmp_path / "c.ckpt")
+    data = ckpt.read_bytes()
+    assert data[56:60] == struct.pack("<I", 80)  # the stored input height
+    ckpt.write_bytes(data[:56] + struct.pack("<I", 16) + data[60:])
+    assert main(["predict", "--config", str(workspace["cfg"]),
+                 "--checkpoint", str(ckpt), "--features", str(workspace["feats"]),
+                 "--track", "track000", "--out", str(tmp_path / "p.txt")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ckpt}: checkpoint tensor 'conv3.w' has shape "
+        "(128, 1024, 1, 1), expected (128, 192, 1, 1)"]
+    assert not (tmp_path / "p.txt").exists()
 
 
 @pytest.mark.parametrize("text, line", [

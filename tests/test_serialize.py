@@ -208,6 +208,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_checkpoint(path, expected_hash=RunConfig().pipeline_hash())
 
+    @pytest.mark.parametrize("tensor", ["conv3.w", "adam.m/conv2.b",
+                                        "adam.v/conv4.w"])
+    def test_tensor_of_wrong_shape_names_file(self, tmp_path, tensor):
+        model = BoundaryNet(input_height=12)
+        adam = init_adam(model.params)
+        *moment, name = tensor.split("/")
+        store = getattr(adam, moment[0][-1]) if moment else model.params
+        expected = store[name].shape
+        store[name] = np.zeros((2, *expected), np.float32)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(model, adam, path, RunConfig().pipeline_hash(), epoch=1)
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"{path}: checkpoint tensor {tensor!r} has "
+                                   f"shape {(2, *expected)}, expected {expected}")
+
     def test_hash_of_other_length_rejected(self, tmp_path):
         model = BoundaryNet(input_height=12)
         path = tmp_path / "c.ckpt"
