@@ -3,9 +3,11 @@
 The digests are computed in one child process with the BLAS thread count
 pinned to 2, because the rounding of matrix products (mel filterbank,
 convolutions) depends on it.  They cover the synthesizer's samples and
-boundaries, feature extraction with all five inputs under both poolings, the model's logits and gradients on Gaussian
-input and on a real mel spectrogram, a short training run's checkpoint
-bytes and the threshold sweep on its curves.
+boundaries, feature extraction with all five inputs under both poolings,
+the model's logits and gradients on Gaussian input and on a real mel
+spectrogram, one model run at a wide, a narrow and again the wide width, a
+short training run's checkpoint bytes and the threshold sweep on its
+curves.
 
 Only a change that means to alter outputs may re-pin a digest, and it
 records the old and new value and the reason in CHANGES.md.  Run this file
@@ -41,6 +43,7 @@ GOLDEN = {
     "model_h80": "b5e9a7459398bdc019f93ec29e117106254a5543f395f7e70119fa82faa8b64d",
     "model_h480": "64f3882d6070c82582cf8d9b81e83450e3ed3ea624f8959efc861bfd4200a9d8",
     "model_mel": "a3024b7c2bc8a336f10a3f902edce27da01f46121f5064086c819f6d606ae5ae",
+    "model_widths": "91d44f171d39513e5b6603c5a776f97650f743cb2da663166e73d4f22f6ae7f9",
     "checkpoint": "af87b09cbbc7ff96527ef49be95bca92786df13aa5221bb5e00a577256dbe54a",
     "sweep_rows": "5f02537dd834004a0f4d78065d1808d0ca604393681258c36c2854940ee14134",
     "synth": "8e3ba9b0d444ea8b8394a8ce5c71796e6774fd2567766778455ad17a5c3d6c08",
@@ -121,6 +124,23 @@ def _mel_model_digest(examples) -> dict:
                               grad_x)}
 
 
+def _model_widths_digest(examples) -> dict:
+    """One model at 736 frames (track 0's mel tiled twice), then forward and
+    backward at the track's own 368 frames, then 736 frames again: whatever
+    the model keeps between calls must not leak from one width into the
+    next."""
+    mel = examples[0].inputs
+    wide = np.tile(mel, 2)
+    net = BoundaryNet(input_height=80, seed=1)
+    first = net.forward(wide)
+    logits, caches = net.forward_with_cache(mel)
+    grads, grad_x = net.backward(np.tanh(logits), caches)
+    again = net.forward(wide)
+    return {"model_widths": _sha(first, logits,
+                                 *(grads[name] for name in PARAM_NAMES),
+                                 grad_x, again)}
+
+
 def _training_digests(run, examples) -> dict:
     net = BoundaryNet(input_height=examples[0].inputs.shape[0], seed=run.seed)
     result = train(net, examples[:4], epochs=2, seed=run.seed,
@@ -147,6 +167,7 @@ def compute() -> dict:
     examples = _acceptance_examples(run, acceptance)
     digests = {**_synth_digest(acceptance), **_extraction_digests(),
                **_model_digests(), **_mel_model_digest(examples),
+               **_model_widths_digest(examples),
                **_training_digests(run, examples)}
     return {"digests": digests,
             "versions": f"numpy {np.__version__}, {blas['name']} {blas['version']}"}
