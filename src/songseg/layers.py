@@ -5,11 +5,59 @@ the upstream gradient plus that cache and produces gradients by the chain
 rule.  Tensors are ``(batch=1, channels, height, width)`` arrays; all
 arithmetic runs in float64 regardless of input dtype so finite-difference
 checks stay meaningful.
+
+The convolution and the pool take an optional ``buffers(role, shape)``
+callable, such as :meth:`Workspace.buffers`, that supplies their large
+temporaries in place of fresh arrays; their output and cache then live in
+those buffers until the caller hands them out again.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
+
+
+class Workspace:
+    """Reusable float64 scratch arrays, one flat buffer per role.
+
+    A buffer grows to the largest element count asked of it, and a smaller
+    request gets a view of its start, so inputs of many widths share one
+    buffer per role instead of one per shape.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def buffers(self, layer: str):
+        """The ``buffers(role, shape)`` callable for one layer's roles."""
+        return functools.partial(self._take, layer)
+
+    def _take(self, layer, role, shape):
+        n = math.prod(shape)
+        key = f"{layer}.{role}"
+        if key not in self._flat or self._flat[key].size < n:
+            self._flat.pop(key, None)  # free the old buffer before growing
+            self._flat[key] = np.empty(n)
+        return self._flat[key][:n].reshape(shape)
+
+
+def _empty(buffers, role, shape):
+    return np.empty(shape) if buffers is None else buffers(role, shape)
+
+
+def _pad_into(out, x, pad, fill):
+    """``out`` holding ``x`` inside a frame ``pad`` cells wide of ``fill``."""
+    ph, pw = pad
+    h, w = x.shape[-2:]
+    out[..., :ph, :] = fill
+    out[..., ph + h:, :] = fill
+    out[..., ph : ph + h, :pw] = fill
+    out[..., ph : ph + h, pw + w:] = fill
+    out[..., ph : ph + h, pw : pw + w] = x
+    return out
 
 
 def _check_tensor4(x) -> np.ndarray:
@@ -34,8 +82,12 @@ def conv_output_size(size, kernel, stride, pad, dilation) -> int:
     return (size + 2 * pad - dilation * (kernel - 1) - 1) // stride + 1
 
 
-def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1)):
-    """Cross-correlation with zero padding, stride and dilation."""
+def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1),
+                   buffers=None):
+    """Cross-correlation with zero padding, stride and dilation.
+
+    ``buffers`` supplies the roles ``padded``, ``patches`` and ``out``.
+    """
     x = _check_tensor4(x)
     w = np.asarray(weights, dtype=np.float64)
     b = np.asarray(bias, dtype=np.float64)
@@ -49,42 +101,55 @@ def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1))
     if h_out <= 0 or w_out <= 0:
         raise ValueError("input too small for this kernel/stride/padding")
 
-    xp = np.zeros((1, c, h + 2 * ph, wid + 2 * pw))
-    xp[:, :, ph : ph + h, pw : pw + wid] = x
+    xp = x if ph == pw == 0 else _pad_into(
+        _empty(buffers, "padded", (1, c, h + 2 * ph, wid + 2 * pw)), x, pad, 0.0)
     taps = _taps(kh, kw, h_out, w_out, stride, dilation)
     # One tap: column-major, the layout an index gather gives, since BLAS
     # rounds a matrix-vector product differently for the two layouts.
-    patches = (np.empty((c, len(taps), h_out, w_out)) if len(taps) > 1
-               else np.empty((1, h_out, w_out, c)).transpose(3, 0, 1, 2))
+    patches = (_empty(buffers, "patches", (c, len(taps), h_out, w_out))
+               if len(taps) > 1 else
+               _empty(buffers, "patches", (1, h_out, w_out, c)).transpose(3, 0, 1, 2))
     for t, (rows, cols) in enumerate(taps):
         patches[:, t] = xp[0, :, rows, cols]
-    y = w.reshape(out_ch, -1) @ patches.reshape(-1, h_out * w_out)
+    y = np.matmul(w.reshape(out_ch, -1), patches.reshape(-1, h_out * w_out),
+                  out=_empty(buffers, "out", (out_ch, h_out * w_out)))
     y += b[:, None]
     cache = (patches, taps, xp.shape, w, np.s_[:, :, ph : ph + h, pw : pw + wid])
     return y.reshape(1, out_ch, h_out, w_out), cache
 
 
-def conv2d_backward(grad_out, cache):
-    """Gradients w.r.t. input, weights and bias."""
+def conv2d_backward(grad_out, cache, input_grad=True, buffers=None):
+    """Gradients w.r.t. input, weights and bias.
+
+    With ``input_grad`` false the input gradient is not computed and None
+    stands in for it.  ``buffers`` supplies the role ``grad_patches``.
+    """
     patches, taps, xp_shape, w, crop = cache
     out_ch = w.shape[0]
     g = np.asarray(grad_out, dtype=np.float64).reshape(out_ch, -1)
     grad_b = g.sum(axis=1)
     grad_w = (g @ patches.reshape(-1, g.shape[1]).T).reshape(w.shape)
-    grad_patches = (w.reshape(out_ch, -1).T @ g).reshape(patches.shape)
+    if not input_grad:
+        return None, grad_w, grad_b
+    w2 = w.reshape(out_ch, -1)
+    grad_patches = np.matmul(w2.T, g, out=_empty(
+        buffers, "grad_patches", (w2.shape[1], g.shape[1]))).reshape(patches.shape)
     grad_xp = np.zeros(xp_shape)
     for t, (rows, cols) in enumerate(taps):  # tap order fixes the summation order
         grad_xp[0, :, rows, cols] += grad_patches[:, t]
     return grad_xp[crop], grad_w, grad_b
 
 
-def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1)):
+def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
+                      keep_cache=True):
     """Max pooling over -inf padding; as with ``argmax``, the first maximum
     (or NaN) in row-major window order wins.
 
-    Separable: each padded column's maximum over a window's rows and the
-    first row holding it, then the maximum over the window's columns and
-    the first tap ``row * kw + column`` among the columns holding that.
+    Separable: each padded column's maximum over a window's rows, then the
+    maximum over the window's columns.  Only ``backward`` and a window whose
+    maximum is 0 or NaN need the winning tap; with ``keep_cache`` false it
+    is found only for such windows, and the cache is None.  ``buffers``
+    supplies the roles ``padded``, ``col_max`` and ``out``.
     """
     x = _check_tensor4(x)
     _, c, h, wid = x.shape
@@ -94,46 +159,57 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1)):
     if h_out <= 0 or w_out <= 0:
         raise ValueError("input too small to pool")
 
-    xp = np.full((c, h + 2 * ph, wid + 2 * pw), -np.inf)
-    xp[:, ph : ph + h, pw : pw + wid] = x[0]
+    xp = _pad_into(_empty(buffers, "padded", (c, h + 2 * ph, wid + 2 * pw)),
+                   x[0], pad, -np.inf)
     rows = [xp[:, i : i + sh * (h_out - 1) + 1 : sh] for i in range(kh)]
-    col_max = rows[0].copy()
+    col_max = _empty(buffers, "col_max", rows[0].shape)
+    col_max[...] = rows[0]
     for r in rows[1:]:
         np.maximum(col_max, r, out=col_max)
+    cols = [np.s_[:, :, j : j + sw * (w_out - 1) + 1 : sw] for j in range(kw)]
+    y = _empty(buffers, "out", (c, h_out, w_out))
+    y[...] = col_max[cols[0]]
+    for cs in cols[1:]:
+        np.maximum(y, col_max[cs], out=y)
     # A NaN no window reads changes nothing, so look only at what they read.
     has_nan = bool(np.isnan(col_max).any())
-    # The first row holding the maximum is the number of leading rows that
-    # miss it.
+    # np.maximum may return either zero of a tie, or either NaN: take those
+    # values from the winning position.
+    fix = y == 0
+    if has_nan:
+        fix |= np.isnan(y)
+    if not keep_cache and not fix.any():
+        return y[None], None
+    arg = _first_max_tap(rows, col_max, cols, y, kh, kw, has_nan)
+    if fix.any():
+        y[fix] = xp.ravel()[_winner_index(arg[fix], kw, (sh, sw), xp.shape,
+                                          *np.nonzero(fix))]
+    cache = (arg, kw, (sh, sw), (1, *xp.shape),
+             np.s_[:, :, ph : ph + h, pw : pw + wid])
+    return y[None], (cache if keep_cache else None)
+
+
+def _first_max_tap(rows, col_max, cols, y, kh, kw, has_nan):
+    """Each window's winning tap ``row * kw + column``.
+
+    The first row holding a column's maximum is the number of leading rows
+    that miss it; the winner is the least such tap over the columns that
+    hold the window's maximum, and a column that misses it is pushed past
+    every tap.
+    """
     dtype = np.min_scalar_type(2 * kh * kw)
     missed = _misses(rows[0], col_max, has_nan)
     first_row = missed.astype(dtype)
     for r in rows[1:-1]:
         missed &= _misses(r, col_max, has_nan)
         first_row += missed
-
-    cols = [np.s_[:, :, j : j + sw * (w_out - 1) + 1 : sw] for j in range(kw)]
-    y = col_max[cols[0]].copy()
-    for cs in cols[1:]:
-        np.maximum(y, col_max[cs], out=y)
-    # The winning tap is the least row * kw + column over the columns that
-    # hold the maximum; a column that misses it is pushed past every tap.
     first_tap = first_row * dtype.type(kw)
     arg = None
     for j, cs in enumerate(cols):
         key = first_tap[cs] + dtype.type(j)
         key += _misses(col_max[cs], y, has_nan) * dtype.type(kh * kw)
         arg = key if arg is None else np.minimum(arg, key, out=arg)
-    # np.maximum may return either zero of a tie, or either NaN: take those
-    # values from the winning position.
-    fix = y == 0
-    if has_nan:
-        fix |= np.isnan(y)
-    if fix.any():
-        y[fix] = xp.ravel()[_winner_index(arg[fix], kw, (sh, sw), xp.shape,
-                                          *np.nonzero(fix))]
-    cache = (arg, kw, (sh, sw), (1, *xp.shape),
-             np.s_[:, :, ph : ph + h, pw : pw + wid])
-    return y[None], cache
+    return arg
 
 
 def _misses(values, maximum, has_nan):
@@ -156,6 +232,7 @@ def _winner_index(arg, kw, stride, padded_shape, chan, row, col):
 def maxpool2d_backward(grad_out, cache):
     """Route each output gradient to the input position that won the max.
 
+    A window won by padding (every value it reads is -inf) routes nowhere.
     A cache extended by the ``(nonneg, slope)`` cache of a LeakyReLU applied
     to the pooled output also runs that activation's backward, in the place
     it would take if it had been applied before pooling: the gradients a
@@ -163,23 +240,40 @@ def maxpool2d_backward(grad_out, cache):
     pooled value is negative or NaN.  Scaling each pooled gradient before
     routing would round the sum differently.
     """
-    arg, kw, stride, xp_shape, crop, *act = cache
+    arg, kw, stride, _, crop, *act = cache
     c, h_out, w_out = arg.shape
-    flat = _winner_index(arg, kw, stride, xp_shape[1:], np.arange(c)[:, None, None],
-                         np.arange(h_out)[:, None], np.arange(w_out))
+    _, _, rows, cols = crop
+    h, w = rows.stop - rows.start, cols.stop - cols.start
+    n = c * h * w
+    # The winner's row and column in the unpadded input.
+    r = stride[0] * np.arange(h_out)[:, None] - rows.start + arg // kw
+    q = stride[1] * np.arange(w_out) - cols.start + arg % kw
+    flat = ((np.arange(c)[:, None, None] * h + r) * w + q).ravel()
+    if r.min() < 0 or r.max() >= h or q.min() < 0 or q.max() >= w:
+        # padding's winners go to an extra bin, which is dropped
+        flat[((r < 0) | (r >= h) | (q < 0) | (q >= w)).ravel()] = n
     g = np.asarray(grad_out, dtype=np.float64).ravel()
     # bincount sums the gradients of one position in increasing output order
-    grad_xp = np.bincount(flat.ravel(), weights=g, minlength=np.prod(xp_shape))
+    grad_x = np.bincount(flat, weights=g, minlength=n + 1)
     if act:
         nonneg, slope = act
-        grad_xp[flat[~nonneg.reshape(arg.shape)]] *= slope
-    return grad_xp.reshape(xp_shape)[crop]
+        grad_x[flat[~nonneg.ravel()]] *= slope
+    return grad_x[:n].reshape(1, c, h, w)
 
 
-def leaky_relu_forward(x, slope=0.01):
+def leaky_relu_forward(x, slope=0.01, inplace=False):
+    """``x`` where it is >= 0, else ``slope * x``.
+
+    ``inplace`` overwrites ``x`` with ``max(x, slope * x)``, the same values
+    (signed zeros, infinities and NaN included) for a slope in (0, 1].
+    """
     x = np.asarray(x, dtype=np.float64)
     nonneg = x >= 0
-    return np.where(nonneg, x, slope * x), (nonneg, slope)
+    if not inplace:
+        return np.where(nonneg, x, slope * x), (nonneg, slope)
+    if not 0.0 < slope <= 1.0:
+        raise ValueError(f"an in-place LeakyReLU needs a slope in (0, 1], got {slope}")
+    return np.maximum(x, slope * x, out=x), (nonneg, slope)
 
 
 def leaky_relu_backward(grad_out, cache):

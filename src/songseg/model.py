@@ -47,7 +47,10 @@ class BoundaryNet:
     """Boundary detector for inputs of a fixed height.
 
     Parameters are stored as float32 (what checkpoints carry); all forward
-    and backward arithmetic happens in float64.
+    and backward arithmetic happens in float64.  The large temporaries of
+    conv1-conv3 and the pool live in a workspace the model keeps between
+    calls, grown to the widest input seen, so one model must not run two
+    forwards at once.
     """
 
     def __init__(self, input_height: int, seed: int = 0):
@@ -68,6 +71,8 @@ class BoundaryNet:
             "conv4.w": _he_uniform(rng, (CONV4["maps"], CONV3["maps"], *CONV4["kernel"])),
             "conv4.b": np.zeros(CONV4["maps"], dtype=np.float32),
         }
+        self.workspace = layers.Workspace()
+        self._generation = 0  # forwards run; caches record theirs
 
     def _as_tensor(self, x) -> np.ndarray:
         """Accept a 2-D (bins x frames) image or a (1,1,H,W) tensor."""
@@ -84,8 +89,13 @@ class BoundaryNet:
             )
         return x
 
-    def forward_with_cache(self, x):
+    def forward_with_cache(self, x, keep_cache=True):
         """Logits and the per-layer caches ``backward`` reads.
+
+        The caches point into the model's workspace, so they stay valid
+        until the next forward of either kind on this model.  With
+        ``keep_cache`` false the pool skips finding its winners and None
+        stands in for the caches.
 
         The first activation runs after the pool, on a 5x smaller tensor.
         LeakyReLU is non-decreasing, so pooling first gives the same maxima
@@ -97,34 +107,46 @@ class BoundaryNet:
         """
         x = self._as_tensor(x)
         p = self.params
-        caches = {}
+        ws = self.workspace
+        self._generation += 1
+        caches = {"generation": self._generation}
         h, caches["conv1"] = layers.conv2d_forward(
             x, p["conv1.w"], p["conv1.b"], CONV1["stride"], CONV1["pad"],
-            CONV1["dilation"])
+            CONV1["dilation"], buffers=ws.buffers("conv1"))
         h, caches["pool"] = layers.maxpool2d_forward(
-            h, POOL["kernel"], POOL["stride"], POOL["pad"])
-        h, caches["act1"] = layers.leaky_relu_forward(h, LEAKY_SLOPE)
+            h, POOL["kernel"], POOL["stride"], POOL["pad"],
+            buffers=ws.buffers("pool"), keep_cache=keep_cache)
+        h, caches["act1"] = layers.leaky_relu_forward(h, LEAKY_SLOPE, inplace=True)
         h, caches["conv2"] = layers.conv2d_forward(
             h, p["conv2.w"], p["conv2.b"], CONV2["stride"], CONV2["pad"],
-            CONV2["dilation"])
-        h, caches["act2"] = layers.leaky_relu_forward(h, LEAKY_SLOPE)
+            CONV2["dilation"], buffers=ws.buffers("conv2"))
+        h, caches["act2"] = layers.leaky_relu_forward(h, LEAKY_SLOPE, inplace=True)
         h, caches["collapse"] = layers.collapse_freq_forward(h)
         h, caches["conv3"] = layers.conv2d_forward(
             h, p["conv3.w"], p["conv3.b"], CONV3["stride"], CONV3["pad"],
-            CONV3["dilation"])
-        h, caches["act3"] = layers.leaky_relu_forward(h, LEAKY_SLOPE)
+            CONV3["dilation"], buffers=ws.buffers("conv3"))
+        h, caches["act3"] = layers.leaky_relu_forward(h, LEAKY_SLOPE, inplace=True)
+        # conv4's output holds the logits: a fresh array, not a buffer.
         h, caches["conv4"] = layers.conv2d_forward(
             h, p["conv4.w"], p["conv4.b"], CONV4["stride"], CONV4["pad"],
             CONV4["dilation"])
-        return h[0, 0, 0, :], caches
+        return h[0, 0, 0, :], (caches if keep_cache else None)
 
     def forward(self, x) -> np.ndarray:
         """Logit curve, one value per input time frame."""
-        logits, _ = self.forward_with_cache(x)
+        logits, _ = self.forward_with_cache(x, keep_cache=False)
         return logits
 
-    def backward(self, grad_logits, caches):
-        """Parameter gradients (and the input gradient) for a logit gradient."""
+    def backward(self, grad_logits, caches, input_grad=True):
+        """Parameter gradients and the input gradient for a logit gradient.
+
+        The caches must come from this model's latest forward (else
+        ValueError).  With ``input_grad`` false the input gradient, which
+        training does not use, is not computed and None stands in for it.
+        """
+        if caches.get("generation") != self._generation:
+            raise ValueError("stale caches: a later forward on this model "
+                             "has reused their buffers")
         g = np.asarray(grad_logits, dtype=np.float64).reshape(1, 1, 1, -1)
         grads = {}
         g, grads["conv4.w"], grads["conv4.b"] = layers.conv2d_backward(
@@ -135,11 +157,11 @@ class BoundaryNet:
         g = layers.collapse_freq_backward(g, caches["collapse"])
         g = layers.leaky_relu_backward(g, caches["act2"])
         g, grads["conv2.w"], grads["conv2.b"] = layers.conv2d_backward(
-            g, caches["conv2"])
+            g, caches["conv2"], buffers=self.workspace.buffers("conv2"))
         # The pool's backward also scales by act1's slope, after routing.
         g = layers.maxpool2d_backward(g, (*caches["pool"], *caches["act1"]))
         g, grads["conv1.w"], grads["conv1.b"] = layers.conv2d_backward(
-            g, caches["conv1"])
+            g, caches["conv1"], input_grad=input_grad)
         return grads, g
 
     def copy_params(self) -> dict:

@@ -13,7 +13,7 @@ import hashlib
 import os
 
 from .audio import AudioBuffer, read_wav, resample
-from .errors import CompatibilityError
+from .errors import CompatibilityError, FormatError
 from .params import RunConfig
 from .spectral import max_pool_time
 from .sslm import FrontEnd, SslmConfig, align_frames, compute_sslm, finalize_input
@@ -124,7 +124,9 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
     Returns ``(stacked_2d_array, frame_rate, pad_frames)``.  The track's
     ``.meta`` sidecar must exist (else :class:`FileNotFoundError`) and carry
     ``run``'s pipeline hash (else :class:`CompatibilityError`), so matrices
-    extracted under another configuration are never loaded.
+    extracted under another configuration are never loaded.  A NaN or
+    infinite value is a :class:`FormatError` naming the matrix file and the
+    value's 0-based row and column.
     """
     import numpy as np
 
@@ -138,8 +140,13 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
     arrays = []
     pad_frames = run.params.final_pad
     for name in run.input_names():
-        m = load_matrix(os.path.join(features_dir, matrix_filename(track_id, name)))
-        arrays.append(np.asarray(m.values, dtype=np.float64))
+        path = os.path.join(features_dir, matrix_filename(track_id, name))
+        m = load_matrix(path)
+        values = np.asarray(m.values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            raise FormatError(f"{path}: non-finite value at row {row}, column {col}")
+        arrays.append(values)
         pad_frames = m.pad_frames
     widths = {a.shape[1] for a in arrays}
     if len(widths) != 1:

@@ -105,7 +105,7 @@ def train(
                     f"non-finite loss at epoch {epoch} on {ex.name!r}; "
                     "check input scaling and learning rate"
                 )
-            grads, _ = model.backward(grad_logits, caches)
+            grads, _ = model.backward(grad_logits, caches, input_grad=False)
             adam_step(model.params, grads, adam)
             epoch_losses.append(loss)
             # score the step's own forward pass rather than re-running the

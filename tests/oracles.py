@@ -15,8 +15,9 @@ code with the production paths it checks.
 The former forms of replaced kernels are kept here too, as the references
 their replacements must equal bit for bit: per-lag gathered distances, the
 per-lag partition equalizer, per-band pink noise, ``-inf``-padded time
-pooling, the ``hstack`` noise-floor pad, the per-tap max pool and the
-model's former activate-then-pool order.
+pooling, the ``hstack`` noise-floor pad, the per-tap max pool, the pool's
+routing into its padded input and the model's former activate-then-pool
+order.
 """
 
 from dataclasses import dataclass
@@ -640,6 +641,26 @@ def maxpool2d_per_tap(x, kernel, stride, pad):
         arg = np.where(wins, arg.dtype.type(t), arg)
     cache = (arg, kw, stride, xp.shape, np.s_[:, :, ph : ph + h, pw : pw + wid])
     return np.ascontiguousarray(y)[None], cache
+
+
+def maxpool2d_backward_padded(grad_out, cache):
+    """The former ``layers.maxpool2d_backward``: route into the whole padded
+    input with ``bincount``, scale by an activation cache's slope, and crop.
+    """
+    arg, kw, stride, xp_shape, crop, *act = cache
+    c, h_out, w_out = arg.shape
+    _, hp, wp = xp_shape[1:]
+    chan = np.arange(c)[:, None, None]
+    row = np.arange(h_out)[:, None]
+    col = np.arange(w_out)
+    flat = ((chan * hp + stride[0] * row + arg // kw) * wp
+            + stride[1] * col + arg % kw)
+    g = np.asarray(grad_out, dtype=np.float64).ravel()
+    grad_xp = np.bincount(flat.ravel(), weights=g, minlength=np.prod(xp_shape))
+    if act:
+        nonneg, slope = act
+        grad_xp[flat[~nonneg.reshape(arg.shape)]] *= slope
+    return grad_xp.reshape(xp_shape)[crop]
 
 
 def boundary_net_act_first(net, x, grad_logits):

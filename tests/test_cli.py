@@ -506,6 +506,34 @@ def test_predict_track_without_features_exits_1(workspace, tmp_path, capsys):
     assert not (tmp_path / "ghost.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "sweep-threshold", "train"])
+def test_non_finite_feature_exits_1(workspace, tmp_path, capsys, command):
+    from songseg.serialize import load_matrix, save_matrix
+
+    feats = tmp_path / "features"
+    shutil.copytree(workspace["feats"], feats)
+    bad = feats / "track000.mls.mat"
+    m = load_matrix(bad)
+    m.values[5, 2] = np.nan
+    save_matrix(m, bad)
+    ckpt = _untrained_checkpoint(workspace, tmp_path / "c.ckpt")
+    manifest = workspace["root"] / "all_train.tsv"
+    common = ["--config", str(workspace["cfg"]), "--features", str(feats)]
+    argv = {
+        "predict": ["--checkpoint", str(ckpt), "--track", "track000",
+                    "--out", str(tmp_path / "p.txt")],
+        "sweep-threshold": ["--checkpoint", str(ckpt), "--split", str(manifest),
+                            "--subset", "train",
+                            "--refs", str(workspace["data"] / "refs"),
+                            "--out-csv", str(tmp_path / "s.csv")],
+        "train": ["--split", str(manifest), "--refs", str(workspace["data"] / "refs"),
+                  "--out", str(tmp_path / "run")],
+    }[command]
+    assert main([command, *common, *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: non-finite value at row 5, column 2"]
+
+
 def test_predict_header_only_checkpoint_exits_1(workspace, tmp_path, capsys):
     ckpt = _untrained_checkpoint(workspace, tmp_path / "c.ckpt")
     ckpt.write_bytes(ckpt.read_bytes()[:92] + bytes(4))  # a tensor count of 0

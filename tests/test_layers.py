@@ -12,7 +12,8 @@ from songseg.pipeline import extract_inputs
 from songseg.synth import synth_corpus
 
 from oracles import (boundary_net_act_first, conv2d_by_gather, finite_difference,
-                     maxpool2d_by_gather, maxpool2d_per_tap, relative_error)
+                     maxpool2d_backward_padded, maxpool2d_by_gather, maxpool2d_per_tap,
+                     relative_error)
 
 GRAD_TOL = 1e-4
 
@@ -348,6 +349,108 @@ class TestSeparablePool:
         want = layers.leaky_relu_backward(layers.maxpool2d_backward(upstream, cache),
                                           layers.leaky_relu_forward(x, slope)[1])
         assert np.array_equal(layers.maxpool2d_backward(upstream, (*cache, *act)), want)
+
+
+class TestUnpaddedPoolRouting:
+    """The pool's backward sums into the unpadded input, as the former form
+    summed into the padded one and cropped."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), geometry=_pool_geometry(), channels=st.integers(1, 3),
+           slope=st.sampled_from([None, model.LEAKY_SLOPE, 0.3]))
+    def test_matches_padded_form(self, data, geometry, channels, slope):
+        # -inf inputs let the padding win whole windows
+        kernel, stride, pad, size = geometry
+        elements = _GRID | st.sampled_from([-np.inf, np.nan])
+        x = data.draw(arrays(np.float64, (1, channels, *size), elements=elements))
+        y, cache = layers.maxpool2d_forward(x, kernel, stride, pad)
+        if slope is not None:
+            cache = (*cache, *layers.leaky_relu_forward(y, slope)[1])
+        upstream = np.random.default_rng(data.draw(_SEEDS)).standard_normal(y.shape)
+        got = layers.maxpool2d_backward(upstream, cache)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == maxpool2d_backward_padded(upstream, cache).tobytes()
+
+    def test_all_padding_window_routes_nowhere(self):
+        x = np.full((1, 1, 4, 4), -np.inf)
+        y, cache = layers.maxpool2d_forward(x, (3, 3), (1, 1), (1, 1))
+        assert np.all(y == -np.inf)
+        grad = layers.maxpool2d_backward(np.ones(y.shape), cache)
+        assert np.array_equal(grad, maxpool2d_backward_padded(np.ones(y.shape), cache))
+
+
+class TestInferenceKernels:
+    """Buffers, the cache-free pool and the in-place activation change no bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), geometry=_pool_geometry(), channels=st.integers(1, 3))
+    def test_cache_free_pool_matches(self, data, geometry, channels):
+        # zeros of either sign and NaN take the fallback that finds winners
+        kernel, stride, pad, size = geometry
+        elements = _VALUES | st.sampled_from([-np.inf, np.inf, np.nan])
+        x = data.draw(arrays(np.float64, (1, channels, *size), elements=elements))
+        want, _ = layers.maxpool2d_forward(x, kernel, stride, pad)
+        ws = layers.Workspace()
+        got, cache = layers.maxpool2d_forward(x, kernel, stride, pad,
+                                              buffers=ws.buffers("pool"),
+                                              keep_cache=False)
+        assert cache is None
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), geometry=_geometry(max_dilation=3),
+           channels=st.integers(1, 3), maps=st.integers(1, 3))
+    def test_conv_into_grown_buffers(self, data, geometry, channels, maps):
+        # a buffer grown by a wider input serves a view to the narrower one
+        kernel, stride, pad, dilation, (h, w) = geometry
+        x = data.draw(arrays(np.float64, (1, channels, h, w), elements=_VALUES))
+        wts = data.draw(arrays(np.float64, (maps, channels, *kernel), elements=_VALUES))
+        bias = data.draw(arrays(np.float64, maps, elements=_VALUES))
+        ws = layers.Workspace()
+        layers.conv2d_forward(np.tile(x, 3), wts, bias, stride, pad, dilation,
+                              buffers=ws.buffers("conv"))
+        want, want_cache = layers.conv2d_forward(x, wts, bias, stride, pad, dilation)
+        got, cache = layers.conv2d_forward(x, wts, bias, stride, pad, dilation,
+                                           buffers=ws.buffers("conv"))
+        assert got.tobytes() == want.tobytes()
+        upstream = np.random.default_rng(data.draw(_SEEDS)).standard_normal(got.shape)
+        want_grads = layers.conv2d_backward(upstream, want_cache)
+        got_grads = layers.conv2d_backward(upstream, cache, buffers=ws.buffers("conv"))
+        for a, b in zip(got_grads, want_grads):
+            assert a.tobytes() == b.tobytes()
+        gx, *weight_grads = layers.conv2d_backward(upstream, cache, input_grad=False)
+        assert gx is None
+        for a, b in zip(weight_grads, want_grads[1:]):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, st.integers(1, 40), elements=_VALUES
+                    | st.sampled_from([np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                                       -1e-308])),
+           slope=st.sampled_from([model.LEAKY_SLOPE, 5e-324, 0.3, 1.0]))
+    def test_in_place_leaky_relu_matches(self, x, slope):
+        want, (want_nonneg, _) = layers.leaky_relu_forward(x, slope)
+        buf = x.copy()
+        got, (nonneg, _) = layers.leaky_relu_forward(buf, slope, inplace=True)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(nonneg, want_nonneg)
+
+    @pytest.mark.parametrize("slope", [0.0, -0.5, 1.5])
+    def test_in_place_leaky_relu_rejects_slope(self, slope):
+        # slope 0 would turn inf into max(inf, 0 * inf) = NaN
+        with pytest.raises(ValueError, match="slope"):
+            layers.leaky_relu_forward(np.ones(3), slope, inplace=True)
+
+    def test_workspace_serves_views_of_one_buffer_per_role(self):
+        take = layers.Workspace().buffers("conv1")
+        wide = take("out", (4, 10))
+        narrow = take("out", (3, 5))
+        assert narrow.shape == (3, 5) and np.shares_memory(wide, narrow)
+        assert not np.shares_memory(wide, take("patches", (4, 10)))
+        grown = take("out", (6, 10))
+        assert not np.shares_memory(wide, grown)
+        assert np.shares_memory(grown, take("out", (4, 10)))
 
 
 @functools.lru_cache(maxsize=1)

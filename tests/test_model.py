@@ -1,9 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from songseg import layers
 from songseg.layers import bce_with_logits
-from songseg.model import CONV1, CONV2, CONV3, CONV4, POOL, BoundaryNet, \
-    pooled_height
+from songseg.model import CONV1, CONV2, CONV3, CONV4, PARAM_NAMES, POOL, \
+    BoundaryNet, pooled_height
 
 from oracles import finite_difference_at, relative_error
 
@@ -114,3 +121,123 @@ class TestBackward:
         idx = rng.choice(x.size, size=20, replace=False)
         fd = finite_difference_at(loss_for_input, x, idx)
         assert relative_error(grad_input.ravel()[idx], fd) < 1e-4
+
+
+def _run(net, x, upstream_seed=0):
+    """Logits, gradients and input gradient of one forward and backward."""
+    logits, caches = net.forward_with_cache(x)
+    upstream = np.random.default_rng(upstream_seed).standard_normal(logits.shape)
+    grads, grad_x = net.backward(upstream, caches)
+    return [logits, *(grads[n] for n in PARAM_NAMES), grad_x]
+
+
+def _same_bytes(a, b):
+    return len(a) == len(b) and all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+class TestWorkspace:
+    """The model reuses its layer buffers; no output may notice."""
+
+    # conv1 output values with exact zeros of both signs, NaN and infinities
+    _CONV1_VALUES = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, -1.5, 2.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 24), seed=st.integers(0, 2**16))
+    def test_forward_equals_forward_with_cache(self, data, width, seed):
+        net = BoundaryNet(input_height=10, seed=seed)
+        x = np.random.default_rng(seed).standard_normal((10, width))
+        conv1_out = data.draw(arrays(np.float64, (1, 32, 10, width),
+                                     elements=self._CONV1_VALUES))
+        real = layers.conv2d_forward
+        conv2_inputs = []
+
+        def conv(h, w, *args, **kwargs):
+            if w.shape[1] == CONV1["maps"]:  # conv2: the activated pool output
+                conv2_inputs.append(h.tobytes())
+            y, cache = real(h, w, *args, **kwargs)
+            if w.shape[1] == 1:  # conv1 reads the single input channel
+                y[...] = conv1_out
+            return y, cache
+
+        with mock.patch.object(layers, "conv2d_forward", conv):
+            plain = net.forward(x)
+            cached, _ = net.forward_with_cache(x)
+        # Zeros' signs and NaNs' bits rarely reach the logits, so the pool
+        # output is compared too.
+        assert conv2_inputs[0] == conv2_inputs[1]
+        assert plain.tobytes() == cached.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(x=arrays(np.float64, (10, 12), elements=st.sampled_from(
+               [0.0, -0.0, 1.0, -2.0, np.nan, np.inf, -np.inf])),
+           seed=st.integers(0, 2**16))
+    def test_forward_equals_forward_with_cache_on_special_inputs(self, x, seed):
+        net = BoundaryNet(input_height=10, seed=seed)
+        assert net.forward(x).tobytes() == net.forward_with_cache(x)[0].tobytes()
+
+    def test_zero_input_takes_the_pool_fallback(self):
+        # every conv1 output is the zero bias, so every window maximum is 0
+        net = BoundaryNet(input_height=80, seed=4)
+        x = np.zeros((80, 30))
+        assert net.forward(x).tobytes() == net.forward_with_cache(x)[0].tobytes()
+
+    def test_widths_up_down_up_equal_fresh_models(self, rng):
+        xs = [rng.standard_normal((80, w)) for w in (90, 41, 90)]
+        net = BoundaryNet(input_height=80, seed=5)
+        for i, x in enumerate(xs):
+            fresh = BoundaryNet(input_height=80, seed=5)
+            assert net.forward(x).tobytes() == fresh.forward(x).tobytes()
+            assert _same_bytes(_run(net, x, i), _run(BoundaryNet(80, seed=5), x, i))
+
+    def test_buffers_are_kept_per_role_not_per_width(self, rng):
+        net = BoundaryNet(input_height=80, seed=5)
+        wide, narrow = rng.standard_normal((80, 200)), rng.standard_normal((80, 90))
+        _run(net, wide)
+        tracemalloc.start()
+        try:
+            net.forward(narrow)
+            net.forward(wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2.2 MB here; conv2's patch matrix alone is 32 * 15 * 16 * 200 * 8
+        # bytes = 12.3 MB, and a forward with fresh arrays peaks at 24 MB
+        assert peak < 6e6
+
+    def test_outputs_survive_later_forwards(self, rng):
+        net = BoundaryNet(input_height=80, seed=6)
+        x, other = rng.standard_normal((80, 50)), rng.standard_normal((80, 50))
+        logits = net.forward(x)
+        kept = _run(net, x)
+        saved = [a.copy() for a in (logits, *kept)]
+        net.forward(other)
+        _run(net, other)
+        assert _same_bytes([logits, *kept], saved)
+
+    def test_backward_on_stale_caches_raises(self, rng):
+        net = BoundaryNet(input_height=80, seed=7)
+        x = rng.standard_normal((80, 20))
+        logits, caches = net.forward_with_cache(x)
+        net.forward(x)
+        with pytest.raises(ValueError, match="stale"):
+            net.backward(np.ones_like(logits), caches)
+        logits, caches = net.forward_with_cache(x)
+        net.forward_with_cache(x)
+        with pytest.raises(ValueError, match="stale"):
+            net.backward(np.ones_like(logits), caches)
+
+    def test_cache_free_forward_keeps_no_cache(self, rng):
+        net = BoundaryNet(input_height=80, seed=8)
+        logits, caches = net.forward_with_cache(rng.standard_normal((80, 20)),
+                                                keep_cache=False)
+        assert caches is None and logits.shape == (20,)
+
+    def test_weight_gradients_without_input_gradient(self, rng):
+        net = BoundaryNet(input_height=80, seed=9)
+        logits, caches = net.forward_with_cache(rng.standard_normal((80, 60)))
+        upstream = np.tanh(logits)
+        with_x, grad_x = net.backward(upstream, caches)
+        without_x, none = net.backward(upstream, caches, input_grad=False)
+        assert grad_x.shape == (1, 1, 80, 60) and none is None
+        assert _same_bytes([with_x[n] for n in PARAM_NAMES],
+                           [without_x[n] for n in PARAM_NAMES])

@@ -6,11 +6,11 @@ import pytest
 
 from songseg import pipeline, spectral, sslm
 from songseg.audio import write_wav
-from songseg.errors import CompatibilityError
+from songseg.errors import CompatibilityError, FormatError
 from songseg.params import PipelineParams, RunConfig, SSLM_VARIANTS
 from songseg.pipeline import (PINK_SEEDS, extract_inputs, extract_track_features,
                               load_track_input, matrix_filename, sslm_config_for)
-from songseg.serialize import save_matrix
+from songseg.serialize import load_matrix, save_matrix
 from songseg.spectral import FeatureMatrix, max_pool_time, mel_log_spectrogram
 from songseg.sslm import (FrontEnd, SslmConfig, align_frames, compute_sslm,
                           finalize_input)
@@ -226,6 +226,20 @@ class TestTrackFeatureFiles:
                                   hop_seconds=0.1, kind="net_input"), paths[1])
         with pytest.raises(ValueError, match="disagree"):
             load_track_input(out, "track000", run)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_track_input_rejects_non_finite_values(self, corpus, bad):
+        tmp_path, wav = corpus
+        out = tmp_path / "features"
+        run = RunConfig(include_mls=True, sslm_inputs=("mfcc-euclidean",))
+        paths = extract_track_features(wav, out, run)
+        m = load_matrix(paths[1])
+        m.values[7, 3] = bad
+        m.values[9, 1] = bad
+        save_matrix(m, paths[1])
+        with pytest.raises(FormatError) as err:
+            load_track_input(out, "track000", run)
+        assert str(err.value) == f"{paths[1]}: non-finite value at row 7, column 3"
 
 
 def test_matrix_filename():
