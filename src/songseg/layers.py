@@ -8,8 +8,8 @@ checks stay meaningful.
 
 The convolution and the pool take an optional ``buffers(role, shape)``
 callable, such as :meth:`Workspace.buffers`, that supplies their large
-temporaries in place of fresh arrays; their output and cache then live in
-those buffers until the caller hands them out again.
+temporaries in place of fresh arrays.  Their output and cache then live in
+those buffers, and are overwritten when the buffers are handed out again.
 """
 
 from __future__ import annotations
