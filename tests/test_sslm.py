@@ -21,7 +21,8 @@ from songseg.sslm import (FrontEnd, LagFeatureSeries, SslmConfig, align_frames,
 from conftest import random_audio
 from oracles import (causal_lag_view, equalize_by_partition,
                      equalize_by_quantile, equalize_by_sort,
-                     finalize_input_by_rows, lag_distances_by_gather,
+                     finalize_input_by_rows, front_end_series,
+                     lag_distances_by_gather,
                      max_pool_time_by_padding, pad_noise_floor_by_hstack,
                      pairwise_ssm, pink_noise)
 
@@ -131,6 +132,25 @@ class TestFrontEnd:
         finally:
             tracemalloc.stop()
         assert peak < padded_bytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), seconds=st.floats(0.05, 2.0),
+           lead=st.floats(0.0, 1.0), trail=st.floats(0.0, 1.0),
+           gain=st.sampled_from([1.0, 1e-3, 0.0]))
+    def test_series_equal_pad_then_pool_oracle(self, seed, seconds, lead, trail, gain):
+        params = PipelineParams()
+        sr = params.sr
+        noise = np.random.default_rng(seed).uniform(-gain, gain, int(seconds * sr))
+        audio = AudioBuffer(np.concatenate([np.zeros(int(lead * sr)), noise,
+                                            np.zeros(int(trail * sr))]), sr)
+        front = FrontEnd(audio, params)
+        for feature, pooling in itertools.product(("mfcc", "chroma"),
+                                                  ("pool6", "pool2_3")):
+            config = SslmConfig(feature, "euclidean", pooling, params)
+            got = front.series(feature, config.pool_pre).vectors
+            want = front_end_series(audio, config).vectors
+            assert got.dtype == want.dtype == np.float64, (feature, pooling)
+            assert np.array_equal(got, want), (feature, pooling)
 
 
 class TestDctFeatures:
