@@ -40,13 +40,14 @@ def read_wav(path) -> AudioBuffer:
 
     Supports 16-bit integer and 32-bit float encodings with 1 or 2
     channels.  16-bit samples are scaled by 1/32768; stereo is downmixed
-    by the per-frame channel mean.
+    by the per-frame channel mean, ``(left + right) / 2``.  The payload is
+    read in place from the file's bytes and converted once.
 
     Raises
     ------
     FormatError
-        If the file is not a RIFF/WAVE container or uses an unsupported
-        encoding.
+        If the file is not a RIFF/WAVE container, uses an unsupported
+        encoding, or its data chunk is not a whole number of samples.
     OSError
         If the declared data payload is truncated.
     """
@@ -56,7 +57,7 @@ def read_wav(path) -> AudioBuffer:
         raise FormatError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
-    payload = None
+    data_span = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
@@ -70,30 +71,43 @@ def read_wav(path) -> AudioBuffer:
             if body_start + chunk_size > len(data):
                 raise OSError(f"{path}: data chunk truncated "
                               f"({len(data) - body_start} of {chunk_size} bytes)")
-            payload = data[body_start : body_start + chunk_size]
+            data_span = (body_start, chunk_size)
         # chunks are word-aligned
         pos = body_start + chunk_size + (chunk_size & 1)
 
-    if fmt is None or payload is None:
+    if fmt is None or data_span is None:
         raise FormatError(f"{path}: missing fmt or data chunk")
 
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise FormatError(f"{path}: unsupported channel count {channels}")
     if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
+        dtype, scale = "<i2", 32768.0
     elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise FormatError(
             f"{path}: unsupported encoding (format {audio_format}, {bits}-bit)"
         )
+    offset, size = data_span
+    if size % (bits // 8):
+        raise FormatError(f"{path}: data chunk of {size} bytes is not a whole "
+                          f"number of {bits}-bit samples")
+    raw = np.frombuffer(data, dtype, size // (bits // 8), offset)
 
     if channels == 2:
-        if samples.size % 2:
+        if raw.size % 2:
             raise OSError(f"{path}: stereo payload has an odd sample count")
-        samples = samples.reshape(-1, 2).mean(axis=1)
+        # The channel mean's order, ((0.0 + left) + right) / 2, keeps it bit
+        # for bit (-0.0 pairs give +0.0); scaling after the sum is exact.
+        samples = np.zeros(raw.size // 2)
+        samples += raw[0::2]
+        samples += raw[1::2]
+        scale *= 2.0
+    else:
+        samples = raw.astype(np.float64)
+    if scale != 1.0:
+        samples /= scale
 
     return AudioBuffer(samples=samples, sample_rate=sample_rate)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     _path(p, "--features", "SONGSEG_FEATURES_DIR")
     p.add_argument("--track", required=True)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_unit_interval, default=None,
                    help="defaults to the configured threshold")
     p.add_argument("--out", required=True, help="output boundary text file")
     p.set_defaults(func=cmd_predict)
@@ -87,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _path(p, "--refs", "SONGSEG_REFS_DIR")
     p.add_argument("--split", required=True)
     p.add_argument("--subset", choices=("train", "val", "test"), default="test")
-    p.add_argument("--tolerance", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--tolerance", type=_positive, default=0.5)
+    p.add_argument("--beta", type=_positive, default=1.0)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -96,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against references")
     _path(p, "--ref-dir", "SONGSEG_REFS_DIR")
     p.add_argument("--est-dir", required=True)
-    p.add_argument("--tolerance", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--tolerance", type=_positive, default=0.5)
+    p.add_argument("--beta", type=_positive, default=1.0)
     p.add_argument("--all", action="store_true",
                    help="score both tolerances (0.5s, 3s) and both betas (1, 0.58)")
     _path(p, "--out", "SONGSEG_OUT_DIR", "directory for CSV reports",
@@ -117,6 +118,27 @@ def _path(p, flag, env, help="", default=None, required=True):
     value = os.environ.get(env) or default
     p.add_argument(flag, default=value, required=required and value is None,
                    help=f"{help} (env {env})" if help else f"env {env}")
+
+
+def _checked_float(text, ok, domain):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"expected a number {domain}, got {text!r}")
+    return value
+
+
+def _positive(text) -> float:
+    """argparse type: a finite number above 0 (tolerances and betas)."""
+    return _checked_float(text, lambda v: math.isfinite(v) and v > 0.0,
+                          "that is finite and > 0")
+
+
+def _unit_interval(text) -> float:
+    """argparse type: a number in [0, 1] (picking thresholds)."""
+    return _checked_float(text, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def cmd_synth(args) -> int:

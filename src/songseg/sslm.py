@@ -89,17 +89,6 @@ class SslmConfig:
                 else self.params.pool_pre)
 
 
-@dataclass
-class LagFeatureSeries:
-    """Per-frame feature vectors feeding the distance stage."""
-
-    vectors: np.ndarray  # (dim, frames)
-
-    @property
-    def n_frames(self) -> int:
-        return self.vectors.shape[1]
-
-
 def pad_noise_floor(features: FeatureMatrix, params: PipelineParams,
                     factor: int = 1) -> FeatureMatrix:
     """Prepend a constant noise-floor pad covering the lag span and max-pool
@@ -148,26 +137,19 @@ def dct_basis(n_bands: int) -> np.ndarray:
     return np.sqrt(2.0 / n_bands) * np.cos(np.pi * (n + 0.5) * k / n_bands)
 
 
-def dct_features(mls_frames: FeatureMatrix) -> LagFeatureSeries:
+def dct_features(mls_frames: FeatureMatrix) -> np.ndarray:
     """Per-frame orthonormal DCT-II of the mel bands, first coefficient dropped.
 
-    A constant frame therefore maps to the zero vector, which is what the
-    noise-floor pad produces.
+    Returns ``(n_bins - 1, frames)`` vectors.  A constant frame maps to the
+    zero vector, which is what the noise-floor pad produces.
     """
     if mls_frames.kind != "mls":
         raise ValueError(f"DCT features expect mls input, got {mls_frames.kind!r}")
-    basis = dct_basis(mls_frames.n_bins)
-    return LagFeatureSeries(vectors=basis @ mls_frames.values)
+    return dct_basis(mls_frames.n_bins) @ mls_frames.values
 
 
-def chroma_features(chroma: FeatureMatrix) -> LagFeatureSeries:
-    if chroma.kind != "chroma":
-        raise ValueError(f"expected chroma input, got {chroma.kind!r}")
-    return LagFeatureSeries(vectors=np.asarray(chroma.values, dtype=np.float64))
-
-
-def stack_frames(series: LagFeatureSeries, m: int) -> LagFeatureSeries:
-    """Concatenate each frame with the frame ``m`` steps ahead.
+def stack_frames(vectors: np.ndarray, m: int) -> np.ndarray:
+    """Concatenate each ``(dim, frames)`` column with the one ``m`` steps ahead.
 
     Column ``i`` of the output is ``[v_i; v_{i+m}]``; the series loses its
     last ``m`` columns.  Too-short input yields zero columns, which the
@@ -175,16 +157,15 @@ def stack_frames(series: LagFeatureSeries, m: int) -> LagFeatureSeries:
     """
     if m < 1:
         raise ValueError("stacking factor must be >= 1")
-    v = series.vectors
-    n_out = max(v.shape[1] - m, 0)
-    stacked = np.vstack([v[:, :n_out], v[:, m : m + n_out]])
-    return LagFeatureSeries(vectors=stacked)
+    n_out = max(vectors.shape[1] - m, 0)
+    return np.vstack([vectors[:, :n_out], vectors[:, m : m + n_out]])
 
 
-def lag_distances(series: LagFeatureSeries, lag_bins: int, metric: str) -> np.ndarray:
+def lag_distances(vectors: np.ndarray, lag_bins: int, metric: str) -> np.ndarray:
     """Distance from every frame to each of its ``lag_bins`` predecessors.
 
-    Returns ``D`` of shape ``(frames, lag_bins)`` with
+    ``vectors`` holds one frame per column.  Returns ``D`` of shape
+    ``(frames, lag_bins)`` with
     ``D[i, l-1] = distance(v_i, v_{i-l})``.  References before the first
     frame clamp to frame 0, which lies inside the noise-floor pad whenever
     the series was padded.  Cosine distance involving a zero vector is
@@ -194,7 +175,7 @@ def lag_distances(series: LagFeatureSeries, lag_bins: int, metric: str) -> np.nd
         raise ValueError(f"unknown metric {metric!r}")
     if lag_bins < 1:
         raise ValueError("lag_bins must be >= 1")
-    v = np.asarray(series.vectors, dtype=np.float64)
+    v = np.asarray(vectors, dtype=np.float64)
     n = v.shape[1]
     if n < lag_bins + 1:
         raise InputTooShortError(
@@ -334,18 +315,17 @@ class FrontEnd:
     def mls(self) -> FeatureMatrix:
         return mel_log_spectrogram(self.audio, self.params, self.stft)
 
-    def series(self, feature: str, pool_pre: int) -> LagFeatureSeries:
-        """Padded, pooled, DCT or chroma, stacked frames of one feature."""
+    def series(self, feature: str, pool_pre: int) -> np.ndarray:
+        """Padded, pooled, DCT or chroma, stacked ``(dim, frames)`` vectors."""
         key = (feature, pool_pre)
         if key not in self._series:
             p = self.params
-            source = self.mls if feature == "mfcc" else self.stft
-            pooled = pad_noise_floor(source, p, pool_pre)
             if feature == "mfcc":
-                series = dct_features(pooled)
+                vectors = dct_features(pad_noise_floor(self.mls, p, pool_pre))
             else:
-                series = chroma_features(chroma_project(pooled, p))
-            self._series[key] = stack_frames(series, p.stacking)
+                pooled = pad_noise_floor(self.stft, p, pool_pre)
+                vectors = chroma_project(pooled, p).values
+            self._series[key] = stack_frames(vectors, p.stacking)
         return self._series[key]
 
 

@@ -21,6 +21,7 @@ order.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -398,7 +399,7 @@ def oracle_suite(seed: int = 0) -> list:
     from songseg.params import PipelineParams
     from songseg.spectral import FeatureMatrix, stft_magnitude
     from songseg.sslm import (SslmConfig, compute_sslm, dct_features, equalize,
-                              lag_distances, LagFeatureSeries)
+                              lag_distances)
     from songseg.evaluation import match_boundaries
     from songseg.annotations import BoundarySet
 
@@ -419,15 +420,15 @@ def oracle_suite(seed: int = 0) -> list:
     mls_col = rng.uniform(-70.0, 0.0, (params.n_mels, 1))
     fm = FeatureMatrix(values=mls_col, hop_seconds=params.base_hop_seconds,
                        kind="mls")
-    got = dct_features(fm).vectors[:, 0]
+    got = dct_features(fm)[:, 0]
     reports.append(_report("dct_vs_direct_sum", got, dct2_direct(mls_col[:, 0]),
                            1e-9))
 
     # Per-lag distances vs the full-SSM route.
-    series = LagFeatureSeries(vectors=rng.standard_normal((6, 10)))
+    vectors = rng.standard_normal((6, 10))
     for metric in ("euclidean", "cosine"):
-        got = lag_distances(series, 3, metric)
-        ref = causal_lag_view(pairwise_ssm(series.vectors, metric), 3)
+        got = lag_distances(vectors, 3, metric)
+        ref = causal_lag_view(pairwise_ssm(vectors, metric), 3)
         reports.append(_report(f"lag_distances_vs_ssm_{metric}", got, ref, 1e-9))
 
     # Quantile equalization vs sort-and-interpolate.
@@ -518,10 +519,11 @@ def front_end_series(audio, config):
 
     Shared input for comparing the production lag path against the
     full-SSM route; the comparison replaces everything downstream of it.
+    The stacked ``(dim, frames)`` array is returned as ``.vectors``.
     """
     from songseg.spectral import chroma_project, max_pool_time, mel_log_spectrogram, \
         stft_magnitude
-    from songseg.sslm import chroma_features, dct_features, pad_noise_floor, stack_frames
+    from songseg.sslm import dct_features, pad_noise_floor, stack_frames
 
     p = config.params
     if config.feature == "mfcc":
@@ -530,10 +532,10 @@ def front_end_series(audio, config):
         front = stft_magnitude(audio, p)
     pooled = max_pool_time(pad_noise_floor(front, p), config.pool_pre)
     if config.feature == "mfcc":
-        series = dct_features(pooled)
+        vectors = dct_features(pooled)
     else:
-        series = chroma_features(chroma_project(pooled, p))
-    return stack_frames(series, p.stacking)
+        vectors = chroma_project(pooled, p).values
+    return SimpleNamespace(vectors=stack_frames(vectors, p.stacking))
 
 
 def _gather_indices(kh, kw, h_out, w_out, stride, dilation):

@@ -1,7 +1,13 @@
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from songseg.audio import AudioBuffer, read_wav, resample, write_wav
 from songseg.errors import FormatError
@@ -18,6 +24,16 @@ def _write_raw_wav(path, payload, fmt_code=1, channels=1, sr=44100, bits=16,
         b"data", struct.pack("<I", size),
     ])
     path.write_bytes(header + payload)
+
+
+def _former_samples(payload, dtype, channels):
+    """The former conversion: a float64 copy, scaled, then a channel mean."""
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    if dtype == "<i2":
+        samples = samples / 32768.0
+    if channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    return samples
 
 
 class TestReadWav:
@@ -73,6 +89,43 @@ class TestReadWav:
         _write_raw_wav(path, b"\x00" * 10, declared_size=400)
         with pytest.raises(OSError):
             read_wav(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), channels=st.sampled_from([1, 2]),
+           dtype=st.sampled_from(["<i2", "<f4"]), frames=st.integers(0, 40))
+    def test_bytes_equal_former_conversion(self, data, channels, dtype, frames):
+        payload = data.draw(arrays(dtype, frames * channels)).tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "any.wav"
+            _write_raw_wav(path, payload, fmt_code=1 if dtype == "<i2" else 3,
+                           channels=channels, bits=16 if dtype == "<i2" else 32)
+            samples = read_wav(path).samples
+        assert samples.dtype == np.float64
+        assert samples.tobytes() == _former_samples(payload, dtype, channels).tobytes()
+
+    @pytest.mark.parametrize("bits, fmt_code, size", [(16, 1, 3), (32, 3, 6),
+                                                      (32, 3, 1)])
+    def test_partial_sample_rejected(self, tmp_path, bits, fmt_code, size):
+        path = tmp_path / "partial.wav"
+        _write_raw_wav(path, b"\x01" * size, fmt_code=fmt_code, bits=bits)
+        with pytest.raises(FormatError, match=f"^{path}: data chunk of {size} bytes"):
+            read_wav(path)
+
+    def test_stereo_peak_is_file_plus_result(self, tmp_path):
+        frames = 10 * 44100
+        payload = np.random.default_rng(3).integers(
+            -32768, 32768, 2 * frames).astype("<i2").tobytes()
+        path = tmp_path / "long.wav"
+        _write_raw_wav(path, payload, channels=2)
+        tracemalloc.start()
+        try:
+            buf = read_wav(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert buf.samples.size == frames
+        # The former form held a payload copy and two full float64 arrays.
+        assert peak < len(payload) + buf.samples.nbytes * 1.1
 
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "junk.wav"

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from songseg.cli import main
+from songseg.cli import _build_parser, main
 from songseg.params import PipelineParams, RunConfig
 
 
@@ -395,6 +395,41 @@ def test_features_without_wavs_exits_2(workspace, tmp_path, capsys):
     assert main(["features", "--config", str(workspace["cfg"]),
                  "--audio-dir", str(audio), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: no WAV files")
+
+
+_SWEEP_ARGV = ["sweep-threshold", "--config", "c", "--checkpoint", "k",
+               "--features", "f", "--refs", "r", "--split", "s", "--out-csv", "o"]
+_PREDICT_ARGV = ["predict", "--config", "c", "--checkpoint", "k", "--features", "f",
+                 "--track", "t", "--out", "o"]
+_EVALUATE_ARGV = ["evaluate", "--ref-dir", "r", "--est-dir", "e"]
+# Each numeric flag with values outside its domain: (0, inf) or [0, 1].
+_BAD_NUMBERS = [
+    (argv, flag, value)
+    for argv in (_EVALUATE_ARGV, _SWEEP_ARGV)
+    for flag in ("--tolerance", "--beta")
+    for value in ("nan", "inf", "-inf", "0", "-1", "abc")
+] + [(_PREDICT_ARGV, "--threshold", value)
+     for value in ("nan", "-0.01", "1.5", "inf", "abc")]
+
+
+@pytest.mark.parametrize("argv, flag, value", _BAD_NUMBERS,
+                         ids=[f"{a[0]}{f}={v}" for a, f, v in _BAD_NUMBERS])
+def test_numeric_flag_out_of_domain_is_usage_error(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [f"{flag}={value}"])  # "-inf" alone would read as an option
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1
+    assert f"argument {flag}:" in errors[0] and repr(value) in errors[0]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_PREDICT_ARGV, "--threshold", "0"), (_PREDICT_ARGV, "--threshold", "1"),
+    (_EVALUATE_ARGV, "--tolerance", "1e-9"), (_SWEEP_ARGV, "--beta", "0.58")])
+def test_numeric_flag_domain_edges_parse(argv, flag, value):
+    args = _build_parser().parse_args(argv + [flag, value])
+    assert getattr(args, flag[2:]) == float(value)
 
 
 def test_evaluate_without_common_ids_exits_1(workspace, tmp_path, capsys):

@@ -13,7 +13,7 @@ from songseg.errors import InputTooShortError
 from songseg.params import PipelineParams
 from songseg.spectral import (FeatureMatrix, max_pool_time, mel_log_spectrogram,
                               stft_magnitude)
-from songseg.sslm import (FrontEnd, LagFeatureSeries, SslmConfig, align_frames,
+from songseg.sslm import (FrontEnd, SslmConfig, align_frames,
                           compute_sslm, dct_features, equalize,
                           finalize_input, lag_distances, pad_noise_floor,
                           recurrence, stack_frames)
@@ -29,13 +29,9 @@ from oracles import (causal_lag_view, equalize_by_partition,
 SIGMOID_OF_ONE = 0.7310585786300049
 
 
-def _series(values):
-    return LagFeatureSeries(vectors=np.asarray(values, dtype=np.float64))
-
-
 def distance(u, v, metric):
     """Distance of ``u`` from its predecessor ``v``: lag 1 of a two-frame series."""
-    return lag_distances(_series(np.column_stack([v, u])), 1, metric)[1, 0]
+    return lag_distances(np.column_stack([v, u]), 1, metric)[1, 0]
 
 
 class TestPadNoiseFloor:
@@ -147,7 +143,7 @@ class TestFrontEnd:
         for feature, pooling in itertools.product(("mfcc", "chroma"),
                                                   ("pool6", "pool2_3")):
             config = SslmConfig(feature, "euclidean", pooling, params)
-            got = front.series(feature, config.pool_pre).vectors
+            got = front.series(feature, config.pool_pre)
             want = front_end_series(audio, config).vectors
             assert got.dtype == want.dtype == np.float64, (feature, pooling)
             assert np.array_equal(got, want), (feature, pooling)
@@ -160,18 +156,18 @@ class TestDctFeatures:
 
     def test_constant_frame_maps_to_zero(self):
         out = dct_features(self._mls(np.full((80, 3), -70.0)))
-        assert out.vectors.shape == (79, 3)
+        assert out.shape == (79, 3)
         # cancellation noise scales with the constant's magnitude
-        np.testing.assert_allclose(out.vectors, 0.0, atol=1e-11)
+        np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
     def test_output_dimension(self, rng):
         out = dct_features(self._mls(rng.standard_normal((80, 5))))
-        assert out.vectors.shape[0] == 79
+        assert out.shape[0] == 79
 
     def test_impulse_coefficients(self):
         frame = np.zeros((80, 1))
         frame[0, 0] = 1.0
-        out = dct_features(self._mls(frame)).vectors[:, 0]
+        out = dct_features(self._mls(frame))[:, 0]
         k = np.arange(1, 80)
         expected = np.sqrt(2.0 / 80.0) * np.cos(np.pi * k * 0.5 / 80.0)
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -180,16 +176,16 @@ class TestDctFeatures:
 class TestStackFrames:
     def test_columns_pair_with_offset(self):
         cols = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out = stack_frames(_series(cols), 2)
-        np.testing.assert_array_equal(out.vectors, [[1.0, 2.0], [3.0, 4.0]])
+        out = stack_frames(cols, 2)
+        np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_row_count_doubles(self, rng):
-        out = stack_frames(_series(rng.standard_normal((79, 10))), 2)
-        assert out.vectors.shape == (158, 8)
+        out = stack_frames(rng.standard_normal((79, 10)), 2)
+        assert out.shape == (158, 8)
 
     def test_degenerate_length_flagged_downstream(self, rng):
-        out = stack_frames(_series(rng.standard_normal((4, 2))), 2)
-        assert out.vectors.shape[1] == 0
+        out = stack_frames(rng.standard_normal((4, 2)), 2)
+        assert out.shape[1] == 0
         with pytest.raises(InputTooShortError):
             lag_distances(out, 1, "euclidean")
 
@@ -215,20 +211,18 @@ class TestDistance:
 
 class TestLagDistances:
     def test_identical_columns_zero(self):
-        series = _series(np.ones((3, 8)))
-        d = lag_distances(series, 3, "euclidean")
+        d = lag_distances(np.ones((3, 8)), 3, "euclidean")
         np.testing.assert_allclose(d, 0.0, atol=1e-12)
 
     def test_periodic_series(self, rng):
         block = rng.standard_normal((4, 3))
-        series = _series(np.hstack([block] * 4))
-        d = lag_distances(series, 3, "euclidean")
+        d = lag_distances(np.hstack([block] * 4), 3, "euclidean")
         np.testing.assert_allclose(d[3:, 2], 0.0, atol=1e-12)
 
     def test_matches_bruteforce_loop(self, rng):
         vectors = rng.standard_normal((5, 10))
         for metric in ("euclidean", "cosine"):
-            d = lag_distances(_series(vectors), 3, metric)
+            d = lag_distances(vectors, 3, metric)
             ref = causal_lag_view(pairwise_ssm(vectors, metric), 3)
             np.testing.assert_allclose(d, ref, rtol=0, atol=1e-12)
 
@@ -257,7 +251,7 @@ class TestLagDistancesProperties:
     def test_bit_identical_to_gather(self, case):
         v, lag_bins = case
         for metric in ("euclidean", "cosine"):
-            assert np.array_equal(lag_distances(_series(v), lag_bins, metric),
+            assert np.array_equal(lag_distances(v, lag_bins, metric),
                                   lag_distances_by_gather(v, lag_bins, metric),
                                   equal_nan=True)
 
@@ -270,7 +264,7 @@ class TestLagDistancesProperties:
         v = rng.standard_normal((dim, n)) * 10.0
         v[:, n // 2] = 0.0
         v[:, -1] = np.nan
-        assert np.array_equal(lag_distances(_series(v), lag_bins, metric),
+        assert np.array_equal(lag_distances(v, lag_bins, metric),
                               lag_distances_by_gather(v, lag_bins, metric),
                               equal_nan=True)
 
