@@ -14,6 +14,7 @@ in the tests.
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,7 +51,10 @@ def unused_definitions(package_sources, user_sources, docs):
     Returns ``"label:line name"`` strings.
     """
     trees = {label: ast.parse(text) for label, text in package_sources.items()}
-    package_refs = {label: list(_references(tree)) for label, tree in trees.items()}
+    package_refs = defaultdict(list)  # name -> [(label, line)]
+    for label, tree in trees.items():
+        for name, line in _references(tree):
+            package_refs[name].append((label, line))
     outside = {name for text in user_sources.values()
                for name, _ in _references(ast.parse(text))}
     for span in re.findall(r"`([^`\n]+)`", docs):
@@ -59,8 +63,8 @@ def unused_definitions(package_sources, user_sources, docs):
     for label, tree in trees.items():
         for name, first, last in _definitions(tree):
             used = name in outside or any(
-                ref == name and not (other == label and first <= line <= last)
-                for other, refs in package_refs.items() for ref, line in refs)
+                not (other == label and first <= line <= last)
+                for other, line in package_refs[name])
             if not used:
                 unused.append(f"{label}:{first} {name}")
     return unused
