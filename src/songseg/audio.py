@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import FormatError
 
+# Samples converted per step by write_wav.
+WAV_BLOCK_SAMPLES = 1 << 16
+
 
 @dataclass
 class AudioBuffer:
@@ -113,19 +116,27 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, audio: AudioBuffer) -> None:
-    """Write a mono AudioBuffer as a 16-bit PCM WAV, replacing ``path`` atomically."""
+    """Write a mono AudioBuffer as a 16-bit PCM WAV, replacing ``path`` atomically.
+
+    Samples are scaled by 32768, rounded and clipped to the 16-bit range
+    ``WAV_BLOCK_SAMPLES`` at a time, so no whole-signal temporary is built.
+    """
     from .serialize import atomic_write  # serialize imports this module via spectral
 
-    clipped = np.clip(np.round(audio.samples * 32768.0), -32768, 32767)
-    payload = clipped.astype("<i2").tobytes()
+    size = 2 * audio.samples.size
     sr = audio.sample_rate
     header = b"".join([
-        b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVE",
+        b"RIFF", struct.pack("<I", 36 + size), b"WAVE",
         b"fmt ", struct.pack("<IHHIIHH", 16, 1, 1, sr, sr * 2, 2, 16),
-        b"data", struct.pack("<I", len(payload)),
+        b"data", struct.pack("<I", size),
     ])
     with atomic_write(path) as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        for start in range(0, audio.samples.size, WAV_BLOCK_SAMPLES):
+            block = audio.samples[start : start + WAV_BLOCK_SAMPLES] * 32768.0
+            np.round(block, out=block)
+            np.clip(block, -32768, 32767, out=block)
+            fh.write(block.astype("<i2").tobytes())
 
 
 def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:

@@ -12,6 +12,7 @@ for compatibility.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
@@ -113,6 +114,13 @@ class RunConfig:
             raise ValueError(f"duplicate SSLM variant in {self.sslm_inputs!r}")
         if not self.include_mls and not self.sslm_inputs:
             raise ValueError("at least one input matrix must be selected")
+        p = self.params
+        min_frames = max(p.pool_single, p.pool_pre)
+        if not (math.isfinite(p.lag_seconds) and p.lag_frames >= min_frames):
+            raise ValueError(
+                f"lag_seconds must be finite and span at least one lag bin under "
+                f"both poolings ({min_frames} frames of {p.hop} samples at "
+                f"{p.sr} Hz)")
         # Canonical order, so configurations that select the same inputs
         # compare equal and survive a to_file/from_file round trip.
         object.__setattr__(self, "sslm_inputs", tuple(

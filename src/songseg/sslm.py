@@ -14,10 +14,11 @@ score between each time frame and its recent past:
 
 One :class:`FrontEnd` per track computes the STFT once and serves every
 input from it: the mel spectrogram and each stacked series are derived
-from that one STFT.  Distances are taken per lag between slices of the
-series.  Equalization finds the two order statistics the quantile
-interpolates between by a merge-path search over each row's sorted head,
-exactly matching ``np.quantile(method="linear")``.  The pink-noise padding
+from that one STFT.  Distances come from blocked matrix products of the
+series with its own recent past, each lag read through a strided view.
+Equalization finds the two order statistics the quantile interpolates
+between by a merge-path search over each row's sorted head, exactly
+matching ``np.quantile(method="linear")``.  The pink-noise padding
 of the network inputs is generated for all bands at once.
 
 Outputs are in (0, 1): values near 1 mean a frame closely repeats material
@@ -59,6 +60,21 @@ VARIANCE_FLOOR = 1e-12
 
 # Voss-McCartney generator count for the pink-noise padding.
 PINK_GENERATORS = 16
+
+# Frames per matrix product of the lag-distance stage.  Each product is a
+# BLAS call, and a call can stall for milliseconds when another process
+# holds a CPU, so blocks stay large enough to keep the calls per track few.
+LAG_BLOCK_FRAMES = 256
+# Euclidean entries with d^2 below this fraction of |a|^2 + |b|^2 lose most
+# of their bits to cancellation in the Gram form and are recomputed per pair.
+CANCELLATION_GUARD = 1e-8
+# Frames with a nonzero squared norm outside [GRAM_FLOOR, 1 / GRAM_FLOOR] are
+# computed pair by pair: products near the subnormal range keep too few bits,
+# and sums near the overflow threshold lose them.
+GRAM_FLOOR = 1e-280
+# Values gathered per step when distances are computed pair by pair: small
+# enough that the step's temporaries are reused rather than mapped afresh.
+PAIR_BLOCK_VALUES = 1 << 15
 
 # Lags the equalizer searches per step: bounds its index temporaries to
 # about a megabyte per array on long tracks.
@@ -161,6 +177,67 @@ def stack_frames(vectors: np.ndarray, m: int) -> np.ndarray:
     return np.vstack([vectors[:, :n_out], vectors[:, m : m + n_out]])
 
 
+def _clamped(a: np.ndarray, lag_bins: int) -> np.ndarray:
+    """``a`` along its last axis with ``lag_bins`` copies of its first entry
+    prepended, so index ``i + lag_bins - l`` reads entry ``max(i - l, 0)``."""
+    head = np.repeat(a[..., :1], lag_bins, axis=-1)
+    return np.concatenate([head, a], axis=-1)
+
+
+def _lag_band(flat: np.ndarray, rows: int, lag_bins: int, row_step: int) -> np.ndarray:
+    """Read-only ``(rows, lag_bins)`` view ``B[r, l-1] = flat[r * row_step + lag_bins - l]``.
+
+    On a clamped per-frame array (``row_step`` 1) row ``i`` holds the
+    values of frame ``i``'s references ``max(i - l, 0)``.  On the flattened
+    product of a block's ``b`` frames with their ``b + lag_bins - 1``
+    reference columns (``row_step = b + lag_bins``), row ``r`` holds the
+    products of the block's frame ``r`` with its references.  No entry is
+    copied.
+    """
+    step = flat.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        flat[lag_bins - 1 :], shape=(rows, lag_bins),
+        strides=(row_step * step, -step), writeable=False)
+
+
+def _run_depth(v: np.ndarray, served: np.ndarray, lag_bins: int,
+               norms: np.ndarray) -> np.ndarray:
+    """Per frame, how many of its references (up to ``lag_bins``) lie in its
+    run of identical frames, among the frames ``served`` by the product;
+    the clamped copies of frame 0 count as frames before it.  Identical
+    frames have equal ``norms``, so only frames that repeat their
+    predecessor's norm are compared element by element."""
+    n = v.shape[1]
+    joins = np.zeros(n, dtype=bool)
+    same = np.flatnonzero(norms[1:] == norms[:-1]) + 1
+    joins[same] = (v[:, same] == v[:, same - 1]).all(axis=0)
+    joins[1:] &= served[1:] & served[:-1]
+    index = np.arange(n)
+    depth = index - np.maximum.accumulate(np.where(joins, 0, index))
+    if served[0]:
+        depth[depth == index] += lag_bins
+    return np.minimum(depth, lag_bins)
+
+
+def _pair_distances(v: np.ndarray, rows: np.ndarray, refs: np.ndarray,
+                    metric: str) -> np.ndarray:
+    """Distances between frames ``rows`` and ``refs``, pair by pair, with
+    the formulas and column layout of a per-lag loop over the frames, so
+    that NaN, inf and overflow land where that loop puts them."""
+    step = max(1, PAIR_BLOCK_VALUES // v.shape[0])
+    out = np.empty(rows.size)
+    for s in range(0, rows.size, step):
+        a, b = v[:, rows[s : s + step]], v[:, refs[s : s + step]]
+        if metric == "euclidean":
+            out[s : s + step] = np.linalg.norm(a - b, axis=0)
+            continue
+        dots = np.einsum("ij,ij->j", a, b)
+        denom = np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[s : s + step] = np.where(denom > 0.0, 1.0 - dots / denom, 0.0)
+    return out
+
+
 def lag_distances(vectors: np.ndarray, lag_bins: int, metric: str) -> np.ndarray:
     """Distance from every frame to each of its ``lag_bins`` predecessors.
 
@@ -170,6 +247,25 @@ def lag_distances(vectors: np.ndarray, lag_bins: int, metric: str) -> np.ndarray
     frame clamp to frame 0, which lies inside the noise-floor pad whenever
     the series was padded.  Cosine distance involving a zero vector is
     defined as 0 so that constant (pad) frames never produce NaN.
+
+    The dot products come from one matrix product per block of
+    ``LAG_BLOCK_FRAMES`` frames against the block and its ``lag_bins``
+    predecessors, and each lag is read from it through a strided view.
+    Euclidean distances are ``sqrt(|a|^2 + |b|^2 - 2 a.b)`` on frames
+    centred by the mean of the finite frames.  Three rules keep the values
+    of the pair-by-pair form:
+
+    * a frame is at distance exactly 0 from its references in the same run
+      of identical frames (the noise-floor pad);
+    * a euclidean entry with ``d^2 < CANCELLATION_GUARD * (|a|^2 + |b|^2)``
+      lost most of its bits to cancellation and is computed pair by pair;
+    * so is every entry that involves a non-finite frame, or a norm the
+      product cannot carry, so NaN and inf land where the pair-by-pair
+      form puts them.
+
+    Other entries agree with the pair-by-pair form to about 1e-8 relative
+    (cosine: 1e-15 absolute); their last bits depend on the BLAS thread
+    count.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -182,32 +278,65 @@ def lag_distances(vectors: np.ndarray, lag_bins: int, metric: str) -> np.ndarray
             f"series has {n} frames, need at least {lag_bins + 1} for "
             f"{lag_bins} lag bins"
         )
+    euclidean = metric == "euclidean"
+    if euclidean:
+        centre = v.mean(axis=1, keepdims=True)
+        if not np.isfinite(centre).all():
+            finite = np.isfinite(v).all(axis=0)
+            centre = v[:, finite].mean(axis=1, keepdims=True) if finite.any() else 0.0
+        x = v - centre
+    else:
+        x = v
+    sq = np.einsum("ij,ij->j", x, x)
+    # Frames whose squared norm is non-finite or outside the product's range
+    # get a NaN norm, which sends every entry they take part in to the
+    # pair-by-pair form.
+    served = (sq == 0.0) | ((sq >= GRAM_FLOOR) & (sq <= 1.0 / GRAM_FLOOR))
+    norms = np.where(served, sq if euclidean else np.sqrt(sq), np.nan)
+    depth = _run_depth(v, served, lag_bins, norms)
+    ref_norms = _lag_band(_clamped(norms, lag_bins), n, lag_bins, 1)
+    lag_index = np.arange(lag_bins)
     d = np.empty((n, lag_bins))
-    # For lag l, frames i >= l pair with the view v[:, :n-l] and earlier
-    # frames with frame 0, so no predecessor columns are gathered.
-    if metric == "euclidean":
-        # np.linalg.norm of each lag's difference, computed in place on a
-        # full-width buffer: the column sums run in the same order.
-        diff = np.empty(v.shape)
-        for lag in range(1, lag_bins + 1):
-            np.subtract(v[:, lag:], v[:, : n - lag], out=diff[:, lag:])
-            np.subtract(v[:, :lag], v[:, :1], out=diff[:, :lag])
-            np.multiply(diff, diff, out=diff)
-            d[:, lag - 1] = np.add.reduce(diff, axis=0)
-        return np.sqrt(d, out=d)
-    norms = np.linalg.norm(v, axis=0)
-    # Dot products with frame 0 serve the early frames of every lag.
-    first = np.einsum("ij,ij->j", v[:, :lag_bins], np.repeat(v[:, :1], lag_bins, axis=1))
-    dots = np.empty(n)
-    prev_norms = np.empty(n)
-    for lag in range(1, lag_bins + 1):
-        np.einsum("ij,ij->j", v[:, lag:], v[:, : n - lag], out=dots[lag:])
-        dots[:lag] = first[:lag]
-        prev_norms[lag:] = norms[: n - lag]
-        prev_norms[:lag] = norms[0]
-        denom = norms * prev_norms
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d[:, lag - 1] = np.where(denom > 0.0, 1.0 - dots / denom, 0.0)
+    # Per-block buffers, reused so that no block maps fresh memory.
+    width = min(LAG_BLOCK_FRAMES, n)
+    gram = np.empty(width * (width + lag_bins - 1))
+    sums = np.empty((width, lag_bins))
+    marks = np.empty((width, lag_bins), dtype=bool)
+    recompute = []
+    for s in range(0, n, LAG_BLOCK_FRAMES):
+        e = min(s + LAG_BLOCK_FRAMES, n)
+        b = e - s
+        rows, out, tmp, redo = slice(s, e), d[s:e], sums[:b], marks[:b]
+        # Frame s + r's references are columns r .. r + lag_bins - 1.
+        refs = (x[:, s - lag_bins : e - 1] if s >= lag_bins
+                else _clamped(x[:, : e - 1], lag_bins - s))
+        np.matmul(x[:, rows].T, refs, out=gram[: b * (b + lag_bins - 1)].reshape(b, -1))
+        dots = _lag_band(gram, b, lag_bins, b + lag_bins)
+        if euclidean:
+            np.add(ref_norms[rows], norms[rows, None], out=tmp)
+            np.multiply(dots, -2.0, out=out)
+            out += tmp
+            tmp *= CANCELLATION_GUARD
+            np.greater_equal(out, tmp, out=redo)
+            np.logical_not(redo, out=redo)
+        else:
+            np.multiply(ref_norms[rows], norms[rows, None], out=tmp)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(dots, tmp, out=out)
+            np.subtract(1.0, out, out=out)
+            np.isnan(tmp, out=redo)
+            out[~(tmp > 0.0)] = 0.0
+        if depth[rows].any():
+            in_run = lag_index < depth[rows, None]
+            out[in_run] = 0.0
+            redo &= ~in_run
+        if euclidean:
+            with np.errstate(invalid="ignore"):
+                np.sqrt(out, out=out)
+        recompute.append(np.flatnonzero(redo) + s * lag_bins)
+    flat = np.concatenate(recompute)
+    rows, lags = np.divmod(flat, lag_bins)
+    d.ravel()[flat] = _pair_distances(v, rows, np.maximum(rows - lags - 1, 0), metric)
     return d
 
 

@@ -151,8 +151,8 @@ def equalize_by_quantile(d: np.ndarray, kappa: float) -> np.ndarray:
 def lag_distances_by_gather(vectors, lag_bins: int, metric: str) -> np.ndarray:
     """Per-lag distances from a ``(dim, n)`` gather of each frame's predecessor.
 
-    The former form of ``sslm.lag_distances``, which must match it bit for
-    bit.
+    The former form of ``sslm.lag_distances``, whose blocked products must
+    match it within tolerance (see ``tests/test_sslm.py``).
     """
     v = np.asarray(vectors, dtype=np.float64)
     n = v.shape[1]

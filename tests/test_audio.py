@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from songseg.audio import AudioBuffer, read_wav, resample, write_wav
+from songseg.audio import (WAV_BLOCK_SAMPLES, AudioBuffer, read_wav, resample,
+                           write_wav)
 from songseg.errors import FormatError
 
 
@@ -134,6 +135,36 @@ class TestReadWav:
         path.write_bytes(b"OggS" + b"\x00" * 100)
         with pytest.raises(FormatError):
             read_wav(path)
+
+
+class TestWriteWav:
+    @staticmethod
+    def _former_payload(samples):
+        """The whole-signal conversion ``write_wav`` used before it went blockwise."""
+        return np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+
+    def test_bytes_equal_the_whole_signal_conversion(self, tmp_path, rng):
+        # Two blocks and a tail; half-steps round to even; the ends clip.
+        samples = rng.uniform(-1.2, 1.2, 2 * WAV_BLOCK_SAMPLES + 3)
+        samples[:8] = [1.0, -1.0, 1.5, -1.5, 0.5 / 32768, 1.5 / 32768,
+                       32767.5 / 32768, -32768.5 / 32768]
+        path = tmp_path / "blocks.wav"
+        write_wav(path, AudioBuffer(samples, 22050))
+        data = path.read_bytes()
+        assert data[44:] == self._former_payload(samples)
+        assert struct.unpack_from("<I", data, 40)[0] == 2 * samples.size
+        assert struct.unpack_from("<I", data, 4)[0] == 36 + 2 * samples.size
+
+    def test_peak_memory_is_bounded_by_a_block(self, tmp_path):
+        samples = np.random.default_rng(4).uniform(-1.0, 1.0, 30 * 44100)
+        tracemalloc.start()
+        try:
+            write_wav(tmp_path / "long.wav", AudioBuffer(samples, 44100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The former form held three float64 copies of the samples.
+        assert peak < 4 * WAV_BLOCK_SAMPLES * 8
 
 
 class TestResample:

@@ -38,8 +38,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 GOLDEN = {
-    "extract_pool6": "c3c67d04ce666d86a596ad07691f4716d4ca28eea67d3621d0e29213b7fc995b",
-    "extract_pool2_3": "25bed025fc57a61116f8e16a71072486a82b6057db84055cefd78de8cfdaac46",
+    "extract_pool6": "ed35f9f63358c26486c1bca1ce398ce94bd53718dd54476e4b7e46ae3651d15a",
+    "extract_pool2_3": "a63fececec6a9f97d2653bd3a7028be1a3e1073800881e0743237967f6e4819a",
     "model_h80": "b5e9a7459398bdc019f93ec29e117106254a5543f395f7e70119fa82faa8b64d",
     "model_h480": "64f3882d6070c82582cf8d9b81e83450e3ed3ea624f8959efc861bfd4200a9d8",
     "model_mel": "a3024b7c2bc8a336f10a3f902edce27da01f46121f5064086c819f6d606ae5ae",

@@ -397,6 +397,23 @@ class TestRunConfigHash:
                            match=rf"run\.cfg:2: {key} = '{value}': {message}"):
             RunConfig.from_file(path)
 
+    # At most 5.5 frames of 1024 samples at 44.1 kHz round to fewer than the
+    # 6 that give pool6 one lag bin.
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-3", "0.05",
+                                       "0.1277"])
+    def test_lag_seconds_without_a_lag_bin_names_the_key(self, tmp_path, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"epochs = 3\nlag_seconds = {value}\n")
+        with pytest.raises(FormatError, match=rf"run\.cfg:2: lag_seconds = '{value}': "
+                                              r"lag_seconds must be finite"):
+            RunConfig.from_file(path)
+
+    def test_shortest_lag_span_accepted_and_hash_unchanged(self):
+        assert RunConfig.from_mapping({"lag_seconds": "0.1278"}).params.lag_frames == 6
+        # The check adds no canonical line: the default hash predates it.
+        assert RunConfig().pipeline_hash() == (
+            "f0a52a0cf74eb9e2e0f0a2fd8171ee2264ced88309cd87f1dc5b78200a6252b8")
+
     def test_sslm_inputs_stored_in_canonical_order(self, tmp_path):
         run = RunConfig(sslm_inputs=("chroma-cosine", "mfcc-cosine"))
         assert run.sslm_inputs == ("mfcc-cosine", "chroma-cosine")

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from songseg import sslm
 from songseg.audio import AudioBuffer
 from songseg.errors import InputTooShortError
 from songseg.params import PipelineParams
@@ -17,6 +18,7 @@ from songseg.sslm import (FrontEnd, SslmConfig, align_frames,
                           compute_sslm, dct_features, equalize,
                           finalize_input, lag_distances, pad_noise_floor,
                           recurrence, stack_frames)
+from songseg.synth import synth_corpus
 
 from conftest import random_audio
 from oracles import (causal_lag_view, equalize_by_partition,
@@ -243,17 +245,62 @@ def _lag_series(draw):
     return v, lag_bins
 
 
+@st.composite
+def _near_duplicate_series(draw):
+    """Gaussian frames around a common offset, with runs of repeated frames
+    and copies of other frames moved by 1e-8 to 1e-10 of their norm."""
+    lag_bins = draw(st.integers(1, 12))
+    n = lag_bins + 1 + draw(st.integers(0, 40))
+    dim = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = (rng.standard_normal((dim, n)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+         + draw(st.sampled_from([0.0, 10.0, -1e3])))
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        step = rng.standard_normal(dim)
+        scale = draw(st.sampled_from([1e-8, 1e-9, 1e-10])) * np.linalg.norm(v[:, j])
+        v[:, i] = v[:, j] + step * (scale / max(np.linalg.norm(step), 1e-300))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        v[:, start : start + draw(st.integers(1, lag_bins + 2))] = v[:, start : start + 1]
+    return v, lag_bins
+
+
+# 1 - cos carries an absolute rounding error of a few ulps of 1 however the
+# dot products are summed, so near-parallel frames are compared absolutely.
+COSINE_ATOL = 1e-12
+
+
+def assert_matches_gather(v, lag_bins, metric):
+    """``lag_distances`` against the former per-lag gather: NaN and +-inf at
+    the same places, finite entries within 1e-6 relative, and the euclidean
+    zeros of identical frames exact."""
+    got = lag_distances(v, lag_bins, metric)
+    want = lag_distances_by_gather(v, lag_bins, metric)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    if metric == "euclidean":
+        assert np.array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-6,
+                               atol=0.0 if metric == "euclidean" else COSINE_ATOL)
+
+
 class TestLagDistancesProperties:
-    """``lag_distances`` against its former per-lag gather, bit for bit."""
+    """``lag_distances`` against its former per-lag gather, within tolerance."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=_lag_series())
-    def test_bit_identical_to_gather(self, case):
+    def test_matches_gather(self, case):
         v, lag_bins = case
         for metric in ("euclidean", "cosine"):
-            assert np.array_equal(lag_distances(v, lag_bins, metric),
-                                  lag_distances_by_gather(v, lag_bins, metric),
-                                  equal_nan=True)
+            assert_matches_gather(v, lag_bins, metric)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_near_duplicate_series())
+    def test_near_duplicates_match_gather(self, case):
+        v, lag_bins = case
+        for metric in ("euclidean", "cosine"):
+            assert_matches_gather(v, lag_bins, metric)
 
     # n = L + 1 leaves one frame past the lag window; n - L == L splits the
     # frames evenly between the two slices.
@@ -264,9 +311,48 @@ class TestLagDistancesProperties:
         v = rng.standard_normal((dim, n)) * 10.0
         v[:, n // 2] = 0.0
         v[:, -1] = np.nan
-        assert np.array_equal(lag_distances(v, lag_bins, metric),
-                              lag_distances_by_gather(v, lag_bins, metric),
-                              equal_nan=True)
+        assert_matches_gather(v, lag_bins, metric)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_runs_of_identical_frames_are_exact_zeros(self, rng, metric):
+        v = rng.standard_normal((6, 40))
+        v[:, :5] = v[:, :1]
+        v[:, 20:31] = v[:, 20:21]
+        d = lag_distances(v, 8, metric)
+        assert (d[:5] == 0.0).all()  # frame 0's clamped copies join its run
+        for i in range(21, 31):
+            assert (d[i, : min(i - 20, 8)] == 0.0).all()
+        assert (d[31:] != 0.0).all()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_inf_frames_follow_the_gather(self, rng, metric):
+        v = rng.standard_normal((5, 30))
+        v[:, 3] = np.inf
+        v[:, 4] = np.inf  # an identical run of +inf frames stays NaN
+        v[1, 12] = -np.inf
+        v[2, 20] = np.nan
+        assert_matches_gather(v, 6, metric)
+
+    # Whole series whose squares fall into the subnormal range, or whose
+    # squared norms sum past the overflow threshold.
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300, 6e153])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_norms_near_the_float_limits(self, rng, scale, metric):
+        v = rng.standard_normal((4, 30)) * scale
+        v[:, 10] = v[:, 9] * (1.0 + 1e-12)
+        v[:, 20:] *= 1e-3
+        assert_matches_gather(v, 6, metric)
+
+    # Blocks of LAG_BLOCK_FRAMES (256) frames; with 300 lags the second block
+    # still reaches back into frame 0's clamped copies.
+    @pytest.mark.parametrize("n, lag_bins", [(255, 60), (256, 60), (257, 60),
+                                             (700, 300)])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_block_edges(self, rng, n, lag_bins, metric):
+        v = rng.standard_normal((10, n)) + 3.0
+        v[:, 100:110] = v[:, 100:101]
+        v[:, n - 5] = v[:, n - 40] + 1e-9
+        assert_matches_gather(v, lag_bins, metric)
 
 
 class TestEqualize:
@@ -437,6 +523,30 @@ class TestComputeSslm:
         with pytest.raises(InputTooShortError):
             compute_sslm(random_audio(26, 0.1),
                          SslmConfig("mfcc", "euclidean", "pool6", params))
+
+
+class TestLagDistancesInThePipeline:
+    """The final SSLMs of a 90 s synthetic track against the same pipeline run
+    through the per-lag gather.  The track spans several product blocks and
+    holds harmonic near-duplicate frames, which the 5 s noise clips of the
+    acceptance gate do not reach."""
+
+    def test_all_variants_within_1e6_of_gather(self, params, monkeypatch):
+        track = synth_corpus(seed=11, n_tracks=1, segments_per_track=(12, 12),
+                             segment_duration=(7.5, 8.5), sr=params.sr)[0]
+        audio = AudioBuffer(track.audio.samples[: 90 * params.sr], params.sr)
+        front = FrontEnd(audio, params)
+        configs = [SslmConfig(feature, metric, pooling, params)
+                   for pooling in ("pool6", "pool2_3")
+                   for feature in ("mfcc", "chroma")
+                   for metric in ("euclidean", "cosine")]
+        got = [compute_sslm(audio, c, front).values for c in configs]
+        monkeypatch.setattr(sslm, "lag_distances", lag_distances_by_gather)
+        for config, values in zip(configs, got):
+            want = compute_sslm(audio, config, front).values
+            assert values.shape == want.shape
+            np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-6,
+                                       err_msg=str(config))
 
 
 class TestFinalizeInput:
