@@ -22,7 +22,7 @@ from .errors import CompatibilityError
 from .model import BoundaryNet
 from .params import RunConfig
 from .svgplot import save_line_plot
-from .synth import synth_corpus
+from .synth import _cpu_count, synth_corpus
 
 
 def main(argv=None) -> int:
@@ -46,11 +46,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--tracks", type=int, default=5)
-    p.add_argument("--segments", type=int, nargs=2, default=(2, 4),
-                   metavar=("LO", "HI"))
-    p.add_argument("--duration", type=float, nargs=2, default=(8.0, 14.0),
-                   metavar=("LO", "HI"), help="segment duration range in seconds")
+    p.add_argument("--tracks", type=_count_from(3), default=5,
+                   help="at least 3, so that the corpus splits")
+    p.add_argument("--segments", type=_count_from(1), nargs=2, default=(2, 4),
+                   action=_Range, metavar=("LO", "HI"))
+    p.add_argument("--duration", type=_positive, nargs=2, default=(8.0, 14.0),
+                   action=_Range, metavar=("LO", "HI"),
+                   help="segment duration range in seconds")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("features", help="extract network input matrices")
@@ -59,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _path(p, "--out", "SONGSEG_FEATURES_DIR", "matrix output directory")
     p.add_argument("--force", action="store_true",
                    help="recompute even when outputs are up to date")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_count_from(1), default=_cpu_count())
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train the boundary detector")
@@ -120,25 +122,41 @@ def _path(p, flag, env, help="", default=None, required=True):
                    help=f"{help} (env {env})" if help else f"env {env}")
 
 
-def _checked_float(text, ok, domain):
+def _checked(text, ok, domain, convert=float):
     try:
-        value = float(text)
+        value = convert(text)
     except ValueError:
         value = math.nan
     if not ok(value):
-        raise argparse.ArgumentTypeError(f"expected a number {domain}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {domain}, got {text!r}")
     return value
 
 
 def _positive(text) -> float:
-    """argparse type: a finite number above 0 (tolerances and betas)."""
-    return _checked_float(text, lambda v: math.isfinite(v) and v > 0.0,
-                          "that is finite and > 0")
+    """argparse type: a finite number above 0 (tolerances, betas, durations)."""
+    return _checked(text, lambda v: math.isfinite(v) and v > 0.0,
+                    "a number that is finite and > 0")
 
 
 def _unit_interval(text) -> float:
     """argparse type: a number in [0, 1] (picking thresholds)."""
-    return _checked_float(text, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+    return _checked(text, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+
+
+def _count_from(low):
+    """argparse type: an integer >= ``low``."""
+    return lambda text: _checked(text, lambda v: v >= low,
+                                 f"an integer >= {low}", int)
+
+
+class _Range(argparse.Action):
+    """Store a ``LO HI`` pair as a tuple; LO above HI is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] > values[1]:
+            raise argparse.ArgumentError(
+                self, f"expected LO <= HI, got {values[0]:g} > {values[1]:g}")
+        setattr(namespace, self.dest, tuple(values))
 
 
 def cmd_synth(args) -> int:
@@ -147,8 +165,8 @@ def cmd_synth(args) -> int:
     ids = [f"track{i:03d}" for i in range(args.tracks)]
     split = ann.split_dataset(ids, args.split_seed)
     tracks = synth_corpus(args.seed, args.tracks,
-                          segments_per_track=tuple(args.segments),
-                          segment_duration=tuple(args.duration))
+                          segments_per_track=args.segments,
+                          segment_duration=args.duration)
     audio_dir = os.path.join(args.out, "audio")
     refs_dir = os.path.join(args.out, "refs")
     os.makedirs(audio_dir, exist_ok=True)

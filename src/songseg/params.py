@@ -71,6 +71,8 @@ class PipelineParams:
             raise ValueError("quantile must lie in (0, 1)")
         if self.final_pad < 0:
             raise ValueError("final_pad must be non-negative")
+        if self.n_mels < 1:
+            raise ValueError("n_mels must be at least 1")
 
     @property
     def base_hop_seconds(self) -> float:
@@ -114,7 +116,15 @@ class RunConfig:
             raise ValueError(f"duplicate SSLM variant in {self.sslm_inputs!r}")
         if not self.include_mls and not self.sslm_inputs:
             raise ValueError("at least one input matrix must be selected")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
         p = self.params
+        # Checked for a run rather than in PipelineParams: the padding
+        # kernels also accept an infinite floor, which they are tested on.
+        if not math.isfinite(p.floor_db):
+            raise ValueError("floor_db must be finite")
         min_frames = max(p.pool_single, p.pool_pre)
         if not (math.isfinite(p.lag_seconds) and p.lag_frames >= min_frames):
             raise ValueError(

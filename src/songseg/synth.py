@@ -10,9 +10,11 @@ ground truth is exact.
 
 from __future__ import annotations
 
+import math
+import mmap
 import multiprocessing as mp
-import multiprocessing.connection
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,38 +95,23 @@ def _render_segment(recipe_id: str, sr: int, draws, out: np.ndarray) -> None:
     out[:] = x
 
 
-def _serve(conn, caller_ends) -> None:
-    """Worker loop: render each segment the caller sends, send it back.
-
-    ``caller_ends`` are the caller's ends of every pipe so far.  A forked
-    worker holds copies of them, and closes them so that the caller closing
-    its ends is seen as end of input, here and in the other workers.
-    """
-    for end in caller_ends:
-        end.close()
-    try:
-        while True:
-            recipe_id, sr, n = conn.recv_bytes().decode().split()
-            draws = np.frombuffer(conn.recv_bytes())
-            out = np.empty(int(n))
-            try:
-                _render_segment(recipe_id, int(sr), draws, out)
-            except Exception as exc:  # the caller raises it
-                conn.send_bytes(f"{type(exc).__name__}: {exc}".encode())
-                continue
-            conn.send_bytes(b"")
-            conn.send_bytes(out)
-    except (EOFError, OSError):  # the caller closed its end
-        pass
-    finally:
-        conn.close()
-
-
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+_jobs: list = []  # a pool worker's jobs, inherited from the caller through fork
+
+
+def _keep_jobs(jobs: list) -> None:
+    global _jobs
+    _jobs = jobs
+
+
+def _render_job(i: int) -> None:
+    _render_segment(*_jobs[i])
 
 
 def _render_all(jobs: list) -> None:
@@ -133,53 +120,19 @@ def _render_all(jobs: list) -> None:
     Rendering is a pure function of the draws, so the samples do not depend
     on where it runs: in one worker process per available CPU, or in this
     process when one worker would do or when this process is daemonic and
-    may not start children.
+    may not start children.  The workers are forked with the job list, so
+    each ``out`` they write is the caller's shared mapping, not a pickled
+    copy, and nothing but job indices crosses a pipe.  A job that raises
+    re-raises in the caller; a worker that dies raises ``BrokenProcessPool``.
     """
     n_workers = min(_cpu_count(), len(jobs))
     if n_workers < 2 or mp.current_process().daemon:
         for job in jobs:
             _render_segment(*job)
         return
-    conns, procs = [], []
-    try:
-        for _ in range(n_workers):
-            here, there = mp.Pipe()
-            proc = mp.Process(target=_serve, args=(there, [*conns, here]))
-            proc.start()
-            there.close()
-            conns.append(here)
-            procs.append(proc)
-        todo = iter(jobs)
-        busy = {}  # connection -> the job its worker renders
-
-        def feed(conn):
-            job = next(todo, None)
-            if job is not None:
-                recipe_id, sr, draws, out = job
-                conn.send_bytes(f"{recipe_id} {sr} {out.size}".encode())
-                conn.send_bytes(draws)
-                busy[conn] = job
-
-        for conn in conns:
-            feed(conn)
-        while busy:
-            for conn in mp.connection.wait(list(busy)):
-                recipe_id, _, _, out = busy.pop(conn)
-                try:
-                    error = conn.recv_bytes()
-                    if not error:
-                        conn.recv_bytes_into(out)
-                except EOFError:
-                    error = b"its worker process exited"
-                if error:
-                    raise RuntimeError(f"rendering a {recipe_id} segment failed: "
-                                       f"{error.decode()}")
-                feed(conn)
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join()
+    with ProcessPoolExecutor(n_workers, mp_context=mp.get_context("fork"),
+                             initializer=_keep_jobs, initargs=(jobs,)) as pool:
+        list(pool.map(_render_job, range(len(jobs))))
 
 
 def _pick_recipes(n_segments: int, rng) -> list:
@@ -217,8 +170,9 @@ def synth_corpus(
         raise ValueError("n_tracks must be >= 1")
     s_lo, s_hi = segments_per_track
     d_lo, d_hi = segment_duration
-    if s_lo > s_hi or d_lo > d_hi or s_lo < 1 or d_lo <= 0:
-        raise ValueError("empty segment count or duration range")
+    if not (1 <= s_lo <= s_hi and 0 < d_lo <= d_hi < math.inf):
+        raise ValueError(f"segment count range ({s_lo}, {s_hi}) or duration range "
+                         f"({d_lo}, {d_hi}) s is empty or not finite")
     if round(d_lo * sr) < 1:
         raise ValueError(f"segment duration range ({d_lo}, {d_hi}) s is shorter "
                          f"than one sample at sr={sr} Hz")
@@ -231,7 +185,8 @@ def synth_corpus(
         recipes = _pick_recipes(n_segments, rng)
         durations = rng.uniform(d_lo, d_hi, size=n_segments)
         sample_counts = [int(round(dur * sr)) for dur in durations]
-        samples = np.empty(sum(sample_counts))
+        # Shared with the forked renderers, which write into it in place.
+        samples = np.frombuffer(mmap.mmap(-1, 8 * sum(sample_counts)))
         start = 0
         for recipe_id, n in zip(recipes, sample_counts):
             out = samples[start : start + n]

@@ -93,25 +93,24 @@ def test_train_predict_evaluate_flow(workspace):
     assert (root / "scores" / "scores_tol3_beta0.58.csv").exists()
 
 
-def test_train_zero_epochs_checkpoints_initial_weights(workspace, tmp_path):
-    import numpy as np
+_BAD_CONFIG_LINES = ["epochs = 0", "n_mels = 0", "floor_db = nan", "threshold = 1.5"]
 
-    from songseg.model import BoundaryNet
-    from songseg.serialize import load_checkpoint
 
+@pytest.mark.parametrize("line", _BAD_CONFIG_LINES,
+                         ids=[line.replace(" ", "") for line in _BAD_CONFIG_LINES])
+def test_out_of_domain_config_value_exits_1(workspace, tmp_path, capsys, line):
     root, data, feats = (workspace[k] for k in ("root", "data", "feats"))
-    cfg = tmp_path / "zero.cfg"
-    RunConfig(epochs=0, seed=7).to_file(cfg)
-    out = tmp_path / "run0"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--features", str(feats),
                  "--refs", str(data / "refs"),
                  "--split", str(root / "all_train.tsv"),
-                 "--out", str(out)]) == 0
-    model, _, epoch, _ = load_checkpoint(out / "checkpoint.ckpt")
-    assert epoch == 0
-    fresh = BoundaryNet(input_height=80, seed=7)
-    for name in fresh.params:
-        np.testing.assert_array_equal(model.params[name], fresh.params[name])
+                 "--out", str(out)]) == 1
+    key, value = line.split(" = ")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:1: {key} = '{value}': ")
+    assert not out.exists()
 
 
 def test_train_empty_train_split_exits_1(workspace, tmp_path, capsys):
@@ -262,18 +261,43 @@ def test_evaluate_warns_on_unmatched_ids(workspace, tmp_path, capsys):
     assert "track001" in err
 
 
-@pytest.mark.parametrize("extra, message", [
-    (["--tracks", "2"], "need at least 3 tracks"),
-    (["--segments", "3", "2"], "empty segment count"),
-    (["--duration", "0.00001", "0.00001"],
-     "segment duration range (1e-05, 1e-05) s is shorter than one sample at sr=44100 Hz"),
-])
-def test_synth_rejects_before_writing(tmp_path, capsys, extra, message):
+def test_synth_rejects_before_writing(tmp_path, capsys):
     out = tmp_path / "corpus"
-    assert main(["synth", "--out", str(out), *extra]) == 1
+    assert main(["synth", "--out", str(out), "--duration", "0.00001", "0.00001"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert err == ["error: segment duration range (1e-05, 1e-05) s is shorter than "
+                   "one sample at sr=44100 Hz"]
     assert not out.exists()
+
+
+# Each numeric synth flag with values outside its domain: --tracks >= 3,
+# --segments 1 <= LO <= HI, --duration finite with 0 < LO <= HI.
+_BAD_SYNTH = [
+    ("--tracks", ["2"]), ("--tracks", ["0"]), ("--tracks", ["3.5"]),
+    ("--segments", ["0", "2"]), ("--segments", ["3", "2"]), ("--segments", ["1", "x"]),
+    ("--duration", ["1", "inf"]), ("--duration", ["nan", "nan"]),
+    ("--duration", ["0", "1"]), ("--duration", ["-1", "2"]), ("--duration", ["2", "1.5"]),
+]
+
+
+@pytest.mark.parametrize("flag, values", _BAD_SYNTH,
+                         ids=[f"{f}={'_'.join(v)}" for f, v in _BAD_SYNTH])
+def test_synth_flag_out_of_domain_is_usage_error(tmp_path, capsys, flag, values):
+    out = tmp_path / "corpus"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", "--out", str(out), flag, *values])
+    assert excinfo.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+    assert not out.exists()
+
+
+def test_synth_flag_domain_edges_parse():
+    args = _build_parser().parse_args(["synth", "--out", "o", "--tracks", "3",
+                                       "--segments", "1", "1",
+                                       "--duration", "1e-9", "1e-9"])
+    assert (args.tracks, args.segments, args.duration) == (3, (1, 1), (1e-9, 1e-9))
 
 
 # SHA-256 over every file ``songseg synth --tracks 3`` writes (relative path,
@@ -402,14 +426,17 @@ _SWEEP_ARGV = ["sweep-threshold", "--config", "c", "--checkpoint", "k",
 _PREDICT_ARGV = ["predict", "--config", "c", "--checkpoint", "k", "--features", "f",
                  "--track", "t", "--out", "o"]
 _EVALUATE_ARGV = ["evaluate", "--ref-dir", "r", "--est-dir", "e"]
-# Each numeric flag with values outside its domain: (0, inf) or [0, 1].
+_FEATURES_ARGV = ["features", "--config", "c", "--audio-dir", "a", "--out", "o"]
+# Each numeric flag with values outside its domain: (0, inf), [0, 1] or an
+# integer >= 1.
 _BAD_NUMBERS = [
     (argv, flag, value)
     for argv in (_EVALUATE_ARGV, _SWEEP_ARGV)
     for flag in ("--tolerance", "--beta")
     for value in ("nan", "inf", "-inf", "0", "-1", "abc")
 ] + [(_PREDICT_ARGV, "--threshold", value)
-     for value in ("nan", "-0.01", "1.5", "inf", "abc")]
+     for value in ("nan", "-0.01", "1.5", "inf", "abc")
+] + [(_FEATURES_ARGV, "--workers", value) for value in ("0", "-4", "1.5", "abc")]
 
 
 @pytest.mark.parametrize("argv, flag, value", _BAD_NUMBERS,
@@ -426,10 +453,16 @@ def test_numeric_flag_out_of_domain_is_usage_error(capsys, argv, flag, value):
 
 @pytest.mark.parametrize("argv, flag, value", [
     (_PREDICT_ARGV, "--threshold", "0"), (_PREDICT_ARGV, "--threshold", "1"),
-    (_EVALUATE_ARGV, "--tolerance", "1e-9"), (_SWEEP_ARGV, "--beta", "0.58")])
+    (_EVALUATE_ARGV, "--tolerance", "1e-9"), (_SWEEP_ARGV, "--beta", "0.58"),
+    (_FEATURES_ARGV, "--workers", "1")])
 def test_numeric_flag_domain_edges_parse(argv, flag, value):
     args = _build_parser().parse_args(argv + [flag, value])
     assert getattr(args, flag[2:]) == float(value)
+
+
+def test_features_workers_default_to_available_cpus():
+    assert _build_parser().parse_args(_FEATURES_ARGV).workers == \
+        len(os.sched_getaffinity(0))
 
 
 def test_evaluate_without_common_ids_exits_1(workspace, tmp_path, capsys):

@@ -408,6 +408,35 @@ class TestRunConfigHash:
                                               r"lag_seconds must be finite"):
             RunConfig.from_file(path)
 
+    _OUT_OF_DOMAIN = [
+        (key, value, message)
+        for key, values, message in [
+            ("n_mels", ["0", "-1"], "n_mels must be at least 1"),
+            ("floor_db", ["nan", "inf", "-inf"], "floor_db must be finite"),
+            ("epochs", ["0", "-2"], "epochs must be at least 1"),
+            ("threshold", ["nan", "-0.01", "1.5", "inf"], r"threshold must lie in \[0, 1\]"),
+        ]
+        for value in values
+    ]
+
+    @pytest.mark.parametrize("key, value, message", _OUT_OF_DOMAIN,
+                             ids=[f"{k}={v}" for k, v, _ in _OUT_OF_DOMAIN])
+    def test_out_of_domain_value_names_the_key(self, tmp_path, key, value, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"epochs = 3\n{key} = {value}\n")
+        with pytest.raises(FormatError,
+                           match=rf"run\.cfg:2: {key} = '{value}': {message}"):
+            RunConfig.from_file(path)
+
+    def test_domain_edges_accepted_and_hash_unchanged(self):
+        run = RunConfig.from_mapping({"n_mels": "1", "floor_db": "-1e300",
+                                      "epochs": "1", "threshold": "0"})
+        assert (run.params.n_mels, run.epochs) == (1, 1)
+        assert RunConfig.from_mapping({"threshold": "1"}).threshold == 1.0
+        # The checks add no canonical line: the default hash predates them.
+        assert RunConfig().pipeline_hash() == (
+            "f0a52a0cf74eb9e2e0f0a2fd8171ee2264ced88309cd87f1dc5b78200a6252b8")
+
     def test_shortest_lag_span_accepted_and_hash_unchanged(self):
         assert RunConfig.from_mapping({"lag_seconds": "0.1278"}).params.lag_frames == 6
         # The check adds no canonical line: the default hash predates it.

@@ -1,4 +1,6 @@
 import multiprocessing as mp
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -73,6 +75,16 @@ def test_duration_below_one_sample_rejected():
         synth_corpus(seed=0, n_tracks=1, segment_duration=(1e-5, 1e-3))
 
 
+@pytest.mark.parametrize("segments, duration", [
+    ((2, 4), (1.0, np.inf)), ((2, 4), (np.nan, np.nan)), ((2, 4), (1.0, np.nan)),
+    ((2, 4), (2.0, 1.0)), ((2, 4), (0.0, 1.0)), ((3, 2), (1.0, 2.0)), ((0, 2), (1.0, 2.0)),
+])
+def test_empty_or_non_finite_range_rejected(segments, duration):
+    with pytest.raises(ValueError, match="is empty or not finite"):
+        synth_corpus(seed=0, n_tracks=1, segments_per_track=segments,
+                     segment_duration=duration)
+
+
 def _corpus_and_calls(monkeypatch, cpus, **kwargs):
     """The corpus rendered with ``cpus`` CPUs available, and the number of
     segments this process rendered itself."""
@@ -120,8 +132,7 @@ def test_same_audio_inside_a_pool_worker():
     assert got == _samples(kwargs)
 
 
-@pytest.mark.skipif(mp.get_start_method() != "fork",
-                    reason="the patched renderer reaches workers through fork")
+# The pool forks its workers, so the patched renderer reaches them too.
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_failing_segment_raises_in_caller(monkeypatch, cpus):
     def fail(recipe_id, sr, n, phases):
@@ -129,7 +140,20 @@ def test_failing_segment_raises_in_caller(monkeypatch, cpus):
 
     monkeypatch.setattr(synth, "_render_harmonic", fail)
     monkeypatch.setattr(synth, "_cpu_count", lambda: cpus)
-    with pytest.raises((ValueError, RuntimeError), match="no partials for harm-"):
+    with pytest.raises(ValueError, match="no partials for harm-"):
         synth_corpus(seed=6, n_tracks=3, segments_per_track=(3, 3),
                      segment_duration=(0.5, 1.0))
+    assert mp.active_children() == []
+
+
+def test_dying_worker_raises_in_caller(monkeypatch):
+    def die(recipe_id, sr, draws, out):
+        os._exit(3)
+
+    monkeypatch.setattr(synth, "_render_segment", die)
+    monkeypatch.setattr(synth, "_cpu_count", lambda: 3)
+    with pytest.raises(RuntimeError) as excinfo:
+        synth_corpus(seed=6, n_tracks=3, segments_per_track=(3, 3),
+                     segment_duration=(0.5, 1.0))
+    assert excinfo.type is BrokenProcessPool
     assert mp.active_children() == []
