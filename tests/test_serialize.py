@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import os
 import re
 import struct
@@ -19,7 +20,8 @@ from songseg.model import BoundaryNet
 from songseg.optim import init_adam
 from songseg.params import SSLM_VARIANTS, PipelineParams, RunConfig
 from songseg import serialize
-from songseg.pipeline import _read_meta
+from songseg.cli import main
+from songseg.pipeline import _read_meta, extract_track_features
 from songseg.serialize import (load_checkpoint, load_matrix, save_checkpoint,
                                save_matrix)
 from songseg.spectral import FeatureMatrix
@@ -292,25 +294,78 @@ class _DiskFull(_FailAfterFirstWrite):
         raise OSError("disk full")
 
 
-# Text artifacts by file name: a writer taking (path, version).
+# Text artifacts by file name: a writer taking (path, version), and the bytes
+# that version 1 writes (the SVG, 2232 bytes, as their sha256).
 _TEXT_WRITERS = {
-    "ref.txt": lambda path, v: ann.write_functions_file(path, BoundarySet([v, 9.0])),
-    "est.txt": lambda path, v: ann.write_boundary_file(path, BoundarySet([v, 9.0])),
-    "split.tsv": lambda path, v: ann.save_split_manifest(
-        path, ann.DatasetSplit(train=[f"t{v}"])),
-    "log.csv": lambda path, v: write_log_csv(
+    "ref.txt": (lambda path, v: ann.write_functions_file(path, BoundarySet([v, 9.0])),
+                b"0.0\tstart\n1.0\tsegment1\n9.0\tsegment2\n"),
+    "est.txt": (lambda path, v: ann.write_boundary_file(path, BoundarySet([v, 9.0])),
+                b"1.0\n9.0\n"),
+    "split.tsv": (lambda path, v: ann.save_split_manifest(
+        path, ann.DatasetSplit(train=[f"t{v}"])), b"t1\ttrain\n"),
+    "log.csv": (lambda path, v: write_log_csv(
         path, [EpochStats(v, "train", 0.5, 1.0, 1.0, 1.0)]),
-    "sweep.csv": lambda path, v: write_sweep_csv(path, [SweepRow(0.0, v, 0.0, 0.0)]),
-    "plot.svg": lambda path, v: save_line_plot(path, {"f": ([0.0, 1.0], [0.0, 1.0])},
-                                               title=str(v)),
-    "run.cfg": lambda path, v: RunConfig(epochs=v).to_file(path),
-    "audio.wav": lambda path, v: write_wav(path, AudioBuffer(np.full(8, v / 4), 8000)),
+        b"epoch,split,loss,precision,recall,f1\n1,train,0.5,1.0,1.0,1.0\n"),
+    "sweep.csv": (lambda path, v: write_sweep_csv(path, [SweepRow(0.0, v, 0.0, 0.0)]),
+                  b"threshold,precision,recall,f_beta\n0.000,1.000000,0.000000,0.000000\n"),
+    "plot.svg": (lambda path, v: save_line_plot(path, {"f": ([0.0, 1.0], [0.0, 1.0])},
+                                                title=str(v)),
+                 "dc73e839b5a884ca01744010bd84e452c9c11a60016b1864855260ea2661deff"),
+    "run.cfg": (lambda path, v: RunConfig(epochs=v).to_file(path), "".join(
+        f"{line}\n" for line in [
+            "epochs = 1", "final_pad = 50", "floor_db = -70.0", "fmax = 16000.0",
+            "fmin = 80.0", "hop = 1024", "include_mls = true", "lag_seconds = 14.0",
+            "n_mels = 80", "pool_post = 3", "pool_pre = 2", "pool_single = 6",
+            "pooling = pool6", "quantile = 0.1", "seed = 0", "sr = 44100",
+            "sslm_inputs = ", "stacking = 2", "threshold = 0.205", "window = 2048",
+        ]).encode()),
+    "audio.wav": (lambda path, v: write_wav(path, AudioBuffer(np.full(8, v / 4), 8000)),
+                  b"RIFF4\0\0\0WAVEfmt \x10\0\0\0\x01\0\x01\0@\x1f\0\0\x80>\0\0"
+                  b"\x02\0\x10\0data\x10\0\0\0" + b"\0 " * 8),
+}
+
+
+def _write_meta(path, v):
+    """The ``.meta`` sidecar of a 2 s sawtooth track named after ``path``."""
+    wav = path.with_suffix(".wav")
+    write_wav(wav, AudioBuffer((np.arange(2 * 44100) % 100) * v / 400, 44100))
+    extract_track_features(wav, path.parent, RunConfig())
+
+
+def _evaluate_out(path, v):
+    """``songseg evaluate --out`` into ``path``'s directory, two tracks."""
+    ref, est = path.parent / "ref", path.parent / "est"
+    ref.mkdir()
+    est.mkdir()
+    for tid, times in (("a", [v, 9.0]), ("b", [4.0])):
+        ann.write_functions_file(ref / f"{tid}.txt", BoundarySet([3.0, 9.0]))
+        ann.write_boundary_file(est / f"{tid}.txt", BoundarySet(times))
+    assert main(["evaluate", "--ref-dir", str(ref), "--est-dir", str(est),
+                 "--out", str(path.parent)]) == 0
+
+
+# Text artifacts pinned byte for byte that the failed-write check above
+# cannot take: they are written beside other files, or write nothing.
+_MORE_TEXT_BYTES = {
+    "track.meta": (_write_meta, (
+        b"pipeline_hash\tf0a52a0cf74eb9e2e0f0a2fd8171ee2264ced88309cd87f1dc5b78200a6252b8\n"
+        b"audio_sha256\td83120e6be802c68d8ef6a42076a2a26b3bb00997a7d382ed5a86971c462ed1a\n"
+        b"inputs\tmls\n")),
+    "scores_tol0.5_beta1.csv": (_evaluate_out, (
+        b"track,precision,recall,f_beta\na,0.500000,0.500000,0.500000\n"
+        b"b,0.000000,0.000000,0.000000\nmean,0.250000,0.250000,0.250000\n"
+        b"std,0.250000,0.250000,0.250000\n")),
+    "scores_table.txt": (_evaluate_out, (
+        "Input        Tol.   P      R      F1 (std)\n"
+        "-----------  -----  -----  -----  -------------\n"
+        "predictions  \u00b10.5s  0.250  0.250  0.250 (0.250)\n").encode()),
+    "empty.txt": (lambda path, v: ann.write_boundary_file(path, BoundarySet([])), b""),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TEXT_WRITERS))
 def test_failed_text_write_keeps_previous_file(tmp_path, monkeypatch, name):
-    write, path = _TEXT_WRITERS[name], tmp_path / name
+    (write, _), path = _TEXT_WRITERS[name], tmp_path / name
     write(path, 1)
     before = path.read_bytes()
     monkeypatch.setattr(serialize, "open", raising=False,
@@ -322,6 +377,17 @@ def test_failed_text_write_keeps_previous_file(tmp_path, monkeypatch, name):
     assert os.listdir(tmp_path) == [name]
     write(path, 2)
     assert path.read_bytes() != before
+
+
+@pytest.mark.parametrize("name", sorted({**_TEXT_WRITERS, **_MORE_TEXT_BYTES}))
+def test_text_file_bytes_pinned(tmp_path, name):
+    write, expected = {**_TEXT_WRITERS, **_MORE_TEXT_BYTES}[name]
+    path = tmp_path / name
+    write(path, 1)
+    data = path.read_bytes()
+    if isinstance(expected, str):
+        data = hashlib.sha256(data).hexdigest()
+    assert data == expected
 
 
 class TestRunConfigHash:
