@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
-from .serialize import atomic_write, read_lines
+from .serialize import read_lines, write_text
 
 # Boundaries closer than this are considered duplicates.
 DUPLICATE_EPS = 1e-9
@@ -92,11 +92,8 @@ def write_functions_file(path, boundaries: BoundarySet) -> None:
     Parsing the result recovers ``boundaries`` exactly (the synthetic start
     line is the entry the parser drops).
     """
-    lines = ["0.0\tstart"]
-    for i, t in enumerate(boundaries):
-        lines.append(f"{float(t)!r}\tsegment{i + 1}")
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, ["0.0\tstart"] + [f"{float(t)!r}\tsegment{i}"
+                                       for i, t in enumerate(boundaries, start=1)])
 
 
 def read_boundary_file(path) -> BoundarySet:
@@ -123,9 +120,7 @@ def _parse_time(token: str, path, lineno: int) -> float:
 
 
 def write_boundary_file(path, boundaries: BoundarySet) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        for t in boundaries:
-            fh.write(f"{float(t)!r}\n")
+    write_text(path, (repr(float(t)) for t in boundaries))
 
 
 def to_target_curve(
@@ -186,11 +181,8 @@ def split_dataset(track_ids, seed: int) -> DatasetSplit:
 
 def save_split_manifest(path, split: DatasetSplit) -> None:
     """Write ``track_id<TAB>{train|val|test}`` lines."""
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        for name, ids in (("train", split.train), ("val", split.validation),
-                          ("test", split.test)):
-            for tid in ids:
-                fh.write(f"{tid}\t{name}\n")
+    buckets = {"train": split.train, "val": split.validation, "test": split.test}
+    write_text(path, (f"{tid}\t{name}" for name, ids in buckets.items() for tid in ids))
 
 
 def load_split_manifest(path) -> DatasetSplit:

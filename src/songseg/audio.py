@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
+from .serialize import atomic_write
 
 # Samples converted per step by write_wav.
 WAV_BLOCK_SAMPLES = 1 << 16
@@ -121,8 +122,6 @@ def write_wav(path, audio: AudioBuffer) -> None:
     Samples are scaled by 32768, rounded and clipped to the 16-bit range
     ``WAV_BLOCK_SAMPLES`` at a time, so no whole-signal temporary is built.
     """
-    from .serialize import atomic_write  # serialize imports this module via spectral
-
     size = 2 * audio.samples.size
     sr = audio.sample_rate
     header = b"".join([

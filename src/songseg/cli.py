@@ -331,12 +331,9 @@ def cmd_evaluate(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         for rep in reports:
             name = f"scores_tol{rep.tolerance:g}_beta{rep.beta:g}.csv"
-            with serialize.atomic_write(os.path.join(args.out, name), "w",
-                                        encoding="utf-8") as fh:
-                fh.write("\n".join(evaluation.report_csv_lines(rep, common)) + "\n")
-        with serialize.atomic_write(os.path.join(args.out, "scores_table.txt"), "w",
-                                    encoding="utf-8") as fh:
-            fh.write(table + "\n")
+            serialize.write_text(os.path.join(args.out, name),
+                                 evaluation.report_csv_lines(rep, common))
+        serialize.write_text(os.path.join(args.out, "scores_table.txt"), [table])
     return 0
 
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
+from .serialize import read_lines, write_text
 
 # Names of the four self-similarity lag matrix variants, in canonical order.
 # This order also fixes how matrices are stacked into the network input.
@@ -159,15 +160,10 @@ class RunConfig:
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def to_file(self, path) -> None:
-        from .serialize import atomic_write  # serialize imports this module
-
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.canonical_lines()) + "\n")
+        write_text(path, self.canonical_lines())
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        from .serialize import read_lines  # serialize imports this module
-
         raw, where = {}, {}
         for lineno, line in read_lines(path):
             line = line.split("#", 1)[0].strip()

@@ -12,6 +12,9 @@ import contextlib
 import hashlib
 import os
 
+import numpy as np
+
+from . import serialize
 from .audio import AudioBuffer, read_wav, resample
 from .errors import CompatibilityError, FormatError
 from .params import RunConfig
@@ -79,8 +82,6 @@ def extract_track_features(wav_path, out_dir, run: RunConfig,
     digest; when both still match, the track is skipped.  Returns the list
     of written (or validated) matrix paths.
     """
-    from .serialize import atomic_write, save_matrix
-
     track_id = os.path.splitext(os.path.basename(wav_path))[0]
     pipeline_hash = run.pipeline_hash()
     audio_hash = _file_sha256(wav_path)
@@ -102,19 +103,16 @@ def extract_track_features(wav_path, out_dir, run: RunConfig,
     with contextlib.suppress(FileNotFoundError):
         os.remove(meta_path)
     for name, path in zip(run.input_names(), paths):
-        save_matrix(matrices[name], path)
-    with atomic_write(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(f"pipeline_hash\t{pipeline_hash}\n")
-        fh.write(f"audio_sha256\t{audio_hash}\n")
-        fh.write(f"inputs\t{','.join(run.input_names())}\n")
+        serialize.save_matrix(matrices[name], path)
+    serialize.write_text(meta_path, [f"pipeline_hash\t{pipeline_hash}",
+                                     f"audio_sha256\t{audio_hash}",
+                                     f"inputs\t{','.join(run.input_names())}"])
     return paths
 
 
 def _read_meta(meta_path) -> dict:
     """The ``key<TAB>value`` entries of a track's ``.meta`` sidecar."""
-    from .serialize import read_lines
-
-    return dict(line.split("\t", 1) for _, line in read_lines(meta_path)
+    return dict(line.split("\t", 1) for _, line in serialize.read_lines(meta_path)
                 if "\t" in line)
 
 
@@ -128,10 +126,6 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
     infinite value is a :class:`FormatError` naming the matrix file and the
     value's 0-based row and column.
     """
-    import numpy as np
-
-    from .serialize import load_matrix
-
     stored = _read_meta(os.path.join(features_dir, f"{track_id}.meta"))
     if stored.get("pipeline_hash") != run.pipeline_hash():
         raise CompatibilityError(
@@ -141,7 +135,7 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
     pad_frames = run.params.final_pad
     for name in run.input_names():
         path = os.path.join(features_dir, matrix_filename(track_id, name))
-        m = load_matrix(path)
+        m = serialize.load_matrix(path)
         values = np.asarray(m.values, dtype=np.float64)
         if not np.isfinite(values).all():
             row, col = np.argwhere(~np.isfinite(values))[0]

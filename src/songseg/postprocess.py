@@ -16,7 +16,7 @@ from .annotations import BoundarySet
 from .evaluation import score_corpus
 from .errors import FormatError
 from .layers import sigmoid
-from .serialize import atomic_write, read_lines
+from .serialize import read_lines, write_text
 
 SUPPRESSION_SECONDS = 6.0
 SWEEP_STEP = 0.005
@@ -130,11 +130,9 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
 
 
 def write_sweep_csv(path, rows) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.threshold:.3f},{r.precision:.6f},"
-                     f"{r.recall:.6f},{r.f_score:.6f}\n")
+    write_text(path, [SWEEP_CSV_HEADER] + [
+        f"{r.threshold:.3f},{r.precision:.6f},{r.recall:.6f},{r.f_score:.6f}"
+        for r in rows])
 
 
 def read_sweep_csv(path) -> list:

@@ -8,7 +8,8 @@ length-prefixed named float32 tensors (model parameters and Adam moments).
 
 Every file is written to a temporary name in its directory and renamed into
 place, so an interrupted write leaves the previous file, never a partial one.
-Every line-oriented UTF-8 text file is read through :func:`read_lines`.
+Every line-oriented UTF-8 text file is read through :func:`read_lines` and
+written through :func:`write_text`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ import io
 import os
 import struct
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CompatibilityError, FormatError
 from .model import PARAM_NAMES, BoundaryNet
 from .optim import AdamState
-from .spectral import FeatureMatrix
+
+if TYPE_CHECKING:
+    from .spectral import FeatureMatrix
 
 MATRIX_MAGIC = b"SSEGMAT1"
 MATRIX_DTYPE_F32 = 1
@@ -32,21 +36,27 @@ CHECKPOINT_VERSION = 1
 
 
 @contextmanager
-def atomic_write(path, mode: str = "wb", **kwargs):
-    """Open a temporary file next to ``path``; rename it over ``path`` on success.
+def atomic_write(path):
+    """Open a temporary binary file next to ``path``; rename it over ``path`` on success.
 
     If the body raises, the temporary file is removed and ``path`` is left
     as it was.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_text(path, lines) -> None:
+    """Write each of ``lines`` and one LF as UTF-8, replacing ``path`` atomically."""
+    with atomic_write(path) as fh:
+        fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
 def read_lines(path):
@@ -80,6 +90,8 @@ def save_matrix(m: FeatureMatrix, path) -> None:
 
 def load_matrix(path) -> FeatureMatrix:
     """Read a matrix file; the result has kind ``net_input``."""
+    # Imported here: spectral imports audio and params, which import this module.
+    from .spectral import FeatureMatrix
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MATRIX_MAGIC) + 28:

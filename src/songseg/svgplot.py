@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .serialize import atomic_write
+from .serialize import write_text
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 50
@@ -67,5 +67,4 @@ def line_plot(series, title="", xlabel="", ylabel="") -> str:
 
 
 def save_line_plot(path, series, title="", xlabel="", ylabel="") -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(line_plot(series, title=title, xlabel=xlabel, ylabel=ylabel))
+    write_text(path, [line_plot(series, title=title, xlabel=xlabel, ylabel=ylabel)])

@@ -14,7 +14,7 @@ from .model import BoundaryNet
 from .optim import AdamState, adam_step, init_adam
 from .params import DEFAULT_MLS_THRESHOLD
 from .postprocess import from_logits, pick_peaks
-from .serialize import atomic_write
+from .serialize import write_text
 
 # Hit-rate tolerance, in seconds, of the per-epoch precision/recall/F1 log.
 SCORE_TOLERANCE = 0.5
@@ -133,8 +133,6 @@ def train(
 
 
 def write_log_csv(path, log) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,split,loss,precision,recall,f1\n")
-        for row in log:
-            fh.write(f"{row.epoch},{row.split},{row.loss!r},"
-                     f"{row.precision!r},{row.recall!r},{row.f1!r}\n")
+    write_text(path, ["epoch,split,loss,precision,recall,f1"] + [
+        f"{row.epoch},{row.split},{row.loss!r},{row.precision!r},{row.recall!r},{row.f1!r}"
+        for row in log])

@@ -295,7 +295,7 @@ class _DiskFull(_FailAfterFirstWrite):
 
 
 # Text artifacts by file name: a writer taking (path, version), and the bytes
-# that version 1 writes (the SVG, 2232 bytes, as their sha256).
+# that version 1 writes (the SVG, 2233 bytes, as their sha256).
 _TEXT_WRITERS = {
     "ref.txt": (lambda path, v: ann.write_functions_file(path, BoundarySet([v, 9.0])),
                 b"0.0\tstart\n1.0\tsegment1\n9.0\tsegment2\n"),
@@ -310,7 +310,7 @@ _TEXT_WRITERS = {
                   b"threshold,precision,recall,f_beta\n0.000,1.000000,0.000000,0.000000\n"),
     "plot.svg": (lambda path, v: save_line_plot(path, {"f": ([0.0, 1.0], [0.0, 1.0])},
                                                 title=str(v)),
-                 "dc73e839b5a884ca01744010bd84e452c9c11a60016b1864855260ea2661deff"),
+                 "381d847619ff5f3e0e5e4a1acf026751c11c79a436d2199840c4c74470dbed88"),
     "run.cfg": (lambda path, v: RunConfig(epochs=v).to_file(path), "".join(
         f"{line}\n" for line in [
             "epochs = 1", "final_pad = 50", "floor_db = -70.0", "fmax = 16000.0",
