@@ -44,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known boundaries")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_from(0), default=0)
+    p.add_argument("--split-seed", type=_count_from(0), default=0)
     p.add_argument("--tracks", type=_count_from(3), default=5,
                    help="at least 3, so that the corpus splits")
     p.add_argument("--segments", type=_count_from(1), nargs=2, default=(2, 4),

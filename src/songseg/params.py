@@ -63,6 +63,9 @@ class PipelineParams:
     def __post_init__(self):
         if self.sr <= 0 or self.window <= 0 or self.hop <= 0:
             raise ValueError("sr, window and hop must be positive")
+        for name in ("pool_pre", "pool_post", "stacking"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.pool_single != self.pool_pre * self.pool_post:
             raise ValueError(
                 "pool_single must equal pool_pre * pool_post so both pooling "
@@ -121,11 +124,19 @@ class RunConfig:
             raise ValueError("epochs must be at least 1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         p = self.params
         # Checked for a run rather than in PipelineParams: the padding
-        # kernels also accept an infinite floor, which they are tested on.
+        # kernels are also tested on an infinite floor and at sr = hop = 1.
         if not math.isfinite(p.floor_db):
             raise ValueError("floor_db must be finite")
+        if not 0.0 <= p.fmin < p.fmax:
+            raise ValueError("fmin must lie in [0, fmax)")
+        if not p.fmax <= p.sr / 2:
+            raise ValueError("fmax must not exceed the Nyquist frequency sr / 2")
+        if p.hop > p.window:
+            raise ValueError("hop must not exceed window")
         min_frames = max(p.pool_single, p.pool_pre)
         if not (math.isfinite(p.lag_seconds) and p.lag_frames >= min_frames):
             raise ValueError(

@@ -270,9 +270,11 @@ def test_synth_rejects_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-# Each numeric synth flag with values outside its domain: --tracks >= 3,
-# --segments 1 <= LO <= HI, --duration finite with 0 < LO <= HI.
+# Each numeric synth flag with values outside its domain: --seed and
+# --split-seed >= 0, --tracks >= 3, --segments 1 <= LO <= HI, --duration
+# finite with 0 < LO <= HI.
 _BAD_SYNTH = [
+    ("--seed", ["-1"]), ("--seed", ["1.5"]), ("--split-seed", ["-1"]),
     ("--tracks", ["2"]), ("--tracks", ["0"]), ("--tracks", ["3.5"]),
     ("--segments", ["0", "2"]), ("--segments", ["3", "2"]), ("--segments", ["1", "x"]),
     ("--duration", ["1", "inf"]), ("--duration", ["nan", "nan"]),
@@ -296,8 +298,10 @@ def test_synth_flag_out_of_domain_is_usage_error(tmp_path, capsys, flag, values)
 def test_synth_flag_domain_edges_parse():
     args = _build_parser().parse_args(["synth", "--out", "o", "--tracks", "3",
                                        "--segments", "1", "1",
-                                       "--duration", "1e-9", "1e-9"])
+                                       "--duration", "1e-9", "1e-9",
+                                       "--seed", "0", "--split-seed", "0"])
     assert (args.tracks, args.segments, args.duration) == (3, (1, 1), (1e-9, 1e-9))
+    assert (args.seed, args.split_seed) == (0, 0)
 
 
 # SHA-256 over every file ``songseg synth --tracks 3`` writes (relative path,

@@ -481,6 +481,15 @@ class TestRunConfigHash:
             ("floor_db", ["nan", "inf", "-inf"], "floor_db must be finite"),
             ("epochs", ["0", "-2"], "epochs must be at least 1"),
             ("threshold", ["nan", "-0.01", "1.5", "inf"], r"threshold must lie in \[0, 1\]"),
+            ("seed", ["-1"], "seed must be non-negative"),
+            ("fmin", ["-100", "20000", "nan", "-inf"], r"fmin must lie in \[0, fmax\)"),
+            ("fmax", ["50", "nan"], r"fmin must lie in \[0, fmax\)"),
+            ("fmax", ["50000", "inf"], "fmax must not exceed the Nyquist frequency"),
+            ("window", ["3"], "hop must not exceed window"),
+            ("hop", ["4096"], "hop must not exceed window"),
+            ("stacking", ["0", "-1"], "stacking must be at least 1"),
+            ("pool_pre", ["0"], "pool_pre must be at least 1"),
+            ("pool_post", ["0"], "pool_post must be at least 1"),
         ]
         for value in values
     ]
@@ -496,8 +505,14 @@ class TestRunConfigHash:
 
     def test_domain_edges_accepted_and_hash_unchanged(self):
         run = RunConfig.from_mapping({"n_mels": "1", "floor_db": "-1e300",
-                                      "epochs": "1", "threshold": "0"})
-        assert (run.params.n_mels, run.epochs) == (1, 1)
+                                      "epochs": "1", "threshold": "0", "seed": "0",
+                                      "fmin": "0", "fmax": "22050", "hop": "2048",
+                                      "stacking": "1", "pool_pre": "1",
+                                      "pool_post": "6"})
+        assert (run.params.n_mels, run.epochs, run.seed) == (1, 1, 0)
+        p = run.params
+        assert (p.fmin, p.fmax, p.hop, p.window) == (0.0, 22050.0, 2048, 2048)
+        assert (p.stacking, p.pool_pre, p.pool_post, p.pool_single) == (1, 1, 6, 6)
         assert RunConfig.from_mapping({"threshold": "1"}).threshold == 1.0
         # The checks add no canonical line: the default hash predates them.
         assert RunConfig().pipeline_hash() == (
