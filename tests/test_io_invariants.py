@@ -45,10 +45,11 @@ def io_violations(sources):
                     and where not in LOCAL_IMPORTS):
                 found.append((module, node.lineno, f"import inside {where[1]}"))
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "open" and _open_mode(node) != "rb"
-                    and where not in WRITERS):
-                found.append((module, node.lineno,
-                              f"open mode {_open_mode(node)!r} outside atomic_write"))
+                    and node.func.id == "open" and where not in WRITERS):
+                mode = _open_mode(node)
+                if mode != "rb":
+                    found.append((module, node.lineno,
+                                  f"open mode {mode!r} outside atomic_write"))
     return [f"{module}:{line} {message}" for module, line, message in sorted(found)]
 
 

@@ -379,9 +379,12 @@ def test_failed_text_write_keeps_previous_file(tmp_path, monkeypatch, name):
     assert path.read_bytes() != before
 
 
-@pytest.mark.parametrize("name", sorted({**_TEXT_WRITERS, **_MORE_TEXT_BYTES}))
+_TEXT_BYTES = {**_TEXT_WRITERS, **_MORE_TEXT_BYTES}
+
+
+@pytest.mark.parametrize("name", sorted(_TEXT_BYTES))
 def test_text_file_bytes_pinned(tmp_path, name):
-    write, expected = {**_TEXT_WRITERS, **_MORE_TEXT_BYTES}[name]
+    write, expected = _TEXT_BYTES[name]
     path = tmp_path / name
     write(path, 1)
     data = path.read_bytes()
