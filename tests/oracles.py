@@ -16,8 +16,9 @@ The former forms of replaced kernels are kept here too, as the references
 their replacements must equal bit for bit: per-lag gathered distances, the
 per-lag partition equalizer, per-band pink noise, ``-inf``-padded time
 pooling, the ``hstack`` noise-floor pad, the per-tap max pool, the pool's
-routing into its padded input and the model's former activate-then-pool
-order.
+routing into its padded input, the model's former activate-then-pool
+order, the masked-gather recurrence, and the frame-by-frame peak picking
+with its all-pairs suppression and per-threshold sweep counts.
 """
 
 from dataclasses import dataclass
@@ -309,6 +310,95 @@ def sslm_via_ssm(vectors, lag_bins: int, metric: str, kappa: float,
             pooled[:, j] = r[:, j * pool_post : (j + 1) * pool_post].max(axis=1)
         r = pooled
     return r
+
+
+def recurrence_by_masks(d, eps) -> np.ndarray:
+    """Recurrence with a boolean gather per branch and a final ``nan_to_num``."""
+    from songseg.layers import sigmoid
+
+    ratio = np.empty_like(d)
+    ok = eps >= _EPS_MIN
+    ratio[ok] = np.minimum(d[ok] / eps[ok], _RATIO_LARGE)
+    degenerate = ~ok
+    ratio[degenerate] = np.where(d[degenerate] < _EPS_MIN, 0.0, _RATIO_LARGE)
+    return np.nan_to_num(sigmoid(1.0 - ratio), nan=0.0)
+
+
+def peak_frames_loop(probs) -> list:
+    """First frames of runs of equal values whose existing neighbours are lower.
+
+    Walks the curve frame by frame; a run spanning the whole curve is no
+    peak, and NaN (equal to nothing) is a run of its own that never wins.
+    """
+    n = probs.size
+    peaks = []
+    start = 0
+    for i in range(1, n + 1):
+        if i < n and probs[i] == probs[start]:
+            continue
+        left_lower = start == 0 or probs[start - 1] < probs[start]
+        right_lower = i == n or probs[i] < probs[start]
+        whole_curve = start == 0 and i == n
+        if left_lower and right_lower and not whole_curve:
+            peaks.append(start)
+        start = i
+    return peaks
+
+
+def accepted_frames_loop(probs, frame_rate: float, threshold: float,
+                         suppression_seconds: float = 6.0) -> list:
+    """Peak frames reaching ``threshold``, taken strongest first (earlier frame
+    on ties), each kept only when every kept one lies at least
+    ``suppression_seconds`` away."""
+    candidates = [f for f in peak_frames_loop(probs) if probs[f] >= threshold]
+    candidates.sort(key=lambda f: (-probs[f], f))
+    accepted = []
+    min_gap = suppression_seconds * frame_rate
+    for f in candidates:
+        if all(abs(f - a) >= min_gap for a in accepted):
+            accepted.append(f)
+    return accepted
+
+
+def pick_peaks_loop(probs, frame_rate: float, pad_frames: int, threshold: float) -> list:
+    """Accepted peaks as seconds after the padding, negative times dropped."""
+    times = [(f - pad_frames) / frame_rate
+             for f in accepted_frames_loop(probs, frame_rate, threshold)]
+    return [t for t in times if t >= 0.0]
+
+
+def sweep_threshold_loop(pairs, tolerance: float, beta: float = 1.0,
+                         step: float = 0.005):
+    """``(best_threshold, [(threshold, precision, recall, f), ...])``.
+
+    Peaks are accepted once per curve at threshold 0; each threshold
+    ``i * step`` keeps those whose probability reaches it, counted with one
+    ``count_nonzero`` per curve and threshold, and each distinct selection
+    is scored once.  Ties on F go to the first threshold.
+    """
+    from songseg.annotations import BoundarySet
+    from songseg.evaluation import score_corpus
+
+    picked = []
+    for curve, ref in pairs:
+        frames = np.array([f for f in accepted_frames_loop(curve.probs, curve.frame_rate, 0.0)
+                           if f >= curve.pad_frames], dtype=int)
+        picked.append((ref, (frames - curve.pad_frames) / curve.frame_rate,
+                       curve.probs[frames]))
+    rows, best, best_f, reports = [], 0.0, -1.0, {}
+    for i in range(int(round(1.0 / step)) + 1):
+        threshold = i * step
+        kept = tuple(np.count_nonzero(probs >= threshold) for _, _, probs in picked)
+        if kept not in reports:
+            reports[kept] = score_corpus(
+                [(ref, BoundarySet(times[probs >= threshold]))
+                 for ref, times, probs in picked], tolerance=tolerance, beta=beta)
+        report = reports[kept]
+        rows.append((threshold, report.mean_precision, report.mean_recall,
+                     report.mean_f))
+        if report.mean_f > best_f:
+            best, best_f = threshold, report.mean_f
+    return best, rows
 
 
 def finite_difference(func, x, step: float = 1e-5) -> np.ndarray:

@@ -7,8 +7,10 @@ from hypothesis.extra.numpy import arrays
 from songseg.annotations import BoundarySet
 from songseg.evaluation import score_corpus
 from songseg.postprocess import (SUPPRESSION_SECONDS, SWEEP_STEP, PredictionCurve,
-                                 SweepRow, from_logits, pick_peaks, read_sweep_csv,
-                                 sweep_threshold, write_sweep_csv)
+                                 SweepRow, _peak_frames, from_logits, pick_peaks,
+                                 read_sweep_csv, sweep_threshold, write_sweep_csv)
+
+from oracles import peak_frames_loop, pick_peaks_loop, sweep_threshold_loop
 
 FRAME_RATE = 44100 / (1024 * 6)
 GAMMA = 50
@@ -179,6 +181,110 @@ class TestPeakProperties:
                 best_f, want_best = report.mean_f, threshold
         assert rows == want
         assert best == want_best
+
+
+# Levels with ties and NaN, so plateaus, equal peaks and NaN runs abound.
+_LEVELS = [0.0, 0.1, 0.2, 0.205, 0.5, 0.5, 0.9, 1.0, np.nan]
+_level_curves = st.tuples(
+    arrays(np.float64, st.integers(0, 160), elements=st.sampled_from(_LEVELS)),
+    st.sampled_from([FRAME_RATE, 1.3, 2.5, 20.0]),
+    st.integers(0, 60),
+).map(lambda t: _curve(*t))
+_thresholds = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_LEVELS[:-1]))
+
+
+def _assert_matches_loops(curve, thresholds=(0.0, 0.2, 0.205, 0.5, 1.0)):
+    """``_peak_frames``, ``pick_peaks`` and the sweep equal the loop oracles."""
+    assert np.asarray(_peak_frames(curve.probs), dtype=int).tolist() == \
+        peak_frames_loop(curve.probs)
+    for threshold in thresholds:
+        assert pick_peaks(curve, threshold) == BoundarySet(pick_peaks_loop(
+            curve.probs, curve.frame_rate, curve.pad_frames, threshold))
+    pairs = [(curve, BoundarySet([0.0, 2.0, 9.5]))]
+    best, rows = sweep_threshold(pairs, tolerance=0.5)
+    want_best, want_rows = sweep_threshold_loop(pairs, tolerance=0.5)
+    assert [(r.threshold, r.precision, r.recall, r.f_score) for r in rows] == want_rows
+    assert best == want_best
+
+
+class TestAgainstLoopOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(probs=arrays(np.float64, st.integers(0, 200),
+                        elements=st.sampled_from(_LEVELS)))
+    def test_peak_frames(self, probs):
+        assert np.asarray(_peak_frames(probs), dtype=int).tolist() == \
+            peak_frames_loop(probs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(probs=arrays(np.float64, st.integers(0, 200),
+                        elements=st.floats(0.0, 1.0, allow_subnormal=False)))
+    def test_peak_frames_on_distinct_values(self, probs):
+        assert np.asarray(_peak_frames(probs), dtype=int).tolist() == \
+            peak_frames_loop(probs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve=_level_curves, threshold=_thresholds)
+    def test_pick_peaks(self, curve, threshold):
+        assert pick_peaks(curve, threshold) == BoundarySet(pick_peaks_loop(
+            curve.probs, curve.frame_rate, curve.pad_frames, threshold))
+
+    @settings(max_examples=60, deadline=None)
+    @given(curves=st.lists(_level_curves, min_size=1, max_size=3),
+           refs=st.lists(st.floats(0.0, 60.0), max_size=5),
+           tolerance=st.sampled_from([0.5, 3.0]), beta=st.sampled_from([0.5, 1.0]))
+    def test_sweep_threshold(self, curves, refs, tolerance, beta):
+        pairs = [(curve, BoundarySet(refs)) for curve in curves]
+        best, rows = sweep_threshold(pairs, tolerance=tolerance, beta=beta)
+        want_best, want_rows = sweep_threshold_loop(pairs, tolerance=tolerance,
+                                                    beta=beta)
+        assert [(r.threshold, r.precision, r.recall, r.f_score) for r in rows] == want_rows
+        assert best == want_best
+
+    @pytest.mark.parametrize("probs, frames", [
+        ([], []),
+        ([0.7], []),
+        ([0.4] * 9, []),
+        ([np.nan] * 5, []),
+        ([0.1, np.nan, 0.6, 0.2], []),          # NaN on the left of a peak
+        ([0.1, 0.6, np.nan, 0.2], []),          # NaN on the right of a peak
+        ([np.nan, 0.6, 0.2, np.nan], []),
+        ([0.9, 0.1, 0.2, 0.8], [0, 3]),          # peaks at both ends
+        ([0.9, 0.9, 0.1, 0.8, 0.8], [0, 3]),     # end plateaus: first frame
+        ([0.2, 0.5, 0.5, 0.5, 0.3], [1]),
+        ([0.2, 0.5, 0.5, 0.7, 0.3], [3]),
+    ])
+    def test_edge_curves(self, probs, frames):
+        curve = _curve(probs, frame_rate=1.3, pad=0)
+        assert np.asarray(_peak_frames(curve.probs), dtype=int).tolist() == frames
+        _assert_matches_loops(curve)
+
+    @pytest.mark.parametrize("frame_rate, gap, both_kept", [
+        (1.3, 7, False),    # min_gap 7.8: floor suppresses
+        (1.3, 8, True),     # ceil keeps
+        (2.5, 14, False),   # min_gap 15.0: one frame short
+        (2.5, 15, True),    # exactly min_gap apart
+    ])
+    def test_candidates_about_min_gap_apart(self, frame_rate, gap, both_kept):
+        probs = np.zeros(40)
+        probs[5], probs[5 + gap] = 0.9, 0.6
+        curve = _curve(probs, frame_rate=frame_rate, pad=0)
+        want = [5 / frame_rate] + ([(5 + gap) / frame_rate] if both_kept else [])
+        assert pick_peaks(curve, 0.0).times.tolist() == want
+        _assert_matches_loops(curve)
+
+    @pytest.mark.parametrize("first, second", [(6, 11), (11, 6)])
+    def test_equal_candidates_earlier_frame_wins(self, first, second):
+        probs = np.zeros(30)
+        probs[first] = probs[second] = 0.5  # 5 frames apart, min_gap 7.8
+        curve = _curve(probs, frame_rate=1.3, pad=0)
+        assert pick_peaks(curve, 0.0).times.tolist() == [min(first, second) / 1.3]
+        _assert_matches_loops(curve)
+
+    @pytest.mark.parametrize("pad", [40, 41, 200])
+    def test_pad_beyond_curve_end(self, pad):
+        curve = _curve(_spiky(40, {10: 0.9, 30: 0.8}).probs, frame_rate=1.3, pad=pad)
+        assert len(pick_peaks(curve, 0.0)) == 0
+        _assert_matches_loops(curve)
 
 
 def test_sweep_csv_roundtrip(tmp_path):

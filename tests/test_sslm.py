@@ -26,7 +26,7 @@ from oracles import (causal_lag_view, equalize_by_partition,
                      finalize_input_by_rows, front_end_series,
                      lag_distances_by_gather,
                      max_pool_time_by_padding, pad_noise_floor_by_hstack,
-                     pairwise_ssm, pink_noise)
+                     pairwise_ssm, pink_noise, recurrence_by_masks)
 
 SIGMOID_OF_ONE = 0.7310585786300049
 
@@ -463,6 +463,16 @@ class TestRecurrence:
         eps = np.abs(rng.standard_normal((5, 4))) + 0.1
         r = recurrence(d, eps)
         assert np.all((r > 0.0) & (r < 1.0))
+
+    # Values on both sides of EPSILON_MIN and of the RATIO_LARGE clamp.
+    _VALUES = [0.0, 5e-10, 1e-9, 2e-9, 0.01, 0.3, 1.0, 49.0, 50.0, 1e3, np.inf, np.nan]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(0, 12), st.integers(0, 12)))
+    def test_equals_masked_gather_oracle(self, data, shape):
+        d, eps = (data.draw(arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from(self._VALUES), st.floats(0.0, 100.0)))) for _ in range(2))
+        assert recurrence(d, eps).tobytes() == recurrence_by_masks(d, eps).tobytes()
 
 
 class TestComputeSslm:
