@@ -1,13 +1,18 @@
 """From logit curves to boundary predictions.
 
-Peak picking keeps strict local maxima above a threshold, then greedily
-suppresses any peak within six seconds of a stronger one.  The threshold
-sweep scores a whole split at every candidate threshold and reports the
-best-scoring one.
+Peak picking finds runs of equal values in one vectorized pass and keeps
+those above their neighbours and a threshold, then greedily suppresses any
+peak within six seconds of a stronger one, comparing each candidate with
+the nearest accepted peak on either side.  The threshold sweep counts the
+peaks each curve keeps at every threshold with one ``searchsorted``,
+scores a whole split at every candidate threshold and reports the
+best-scoring one.  Outputs equal the frame-by-frame loop references in
+``tests/oracles.py`` bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,46 +42,47 @@ def from_logits(logits, frame_rate: float, pad_frames: int) -> PredictionCurve:
     return PredictionCurve(probs=probs, frame_rate=frame_rate, pad_frames=pad_frames)
 
 
-def _peak_frames(probs: np.ndarray) -> list:
-    """Strict local maxima; for plateaus the first frame counts.
+def _peak_frames(probs: np.ndarray) -> np.ndarray:
+    """First frames of the runs of equal values whose neighbours are lower.
 
-    A run of equal values is a peak when every existing neighbor is
-    strictly lower; a run spanning the whole curve is not a peak.
+    One comparison of each frame with the next splits the curve into runs;
+    a run is a peak when every existing neighbouring run is strictly lower,
+    and a run spanning the whole curve is not a peak.  NaN equals nothing,
+    so each NaN is a run of its own that is never a peak nor lower.
     """
-    n = probs.size
-    peaks = []
-    start = 0
-    for i in range(1, n + 1):
-        if i < n and probs[i] == probs[start]:
-            continue
-        # run is [start, i-1]
-        left_lower = start == 0 or probs[start - 1] < probs[start]
-        right_lower = i == n or probs[i] < probs[start]
-        whole_curve = start == 0 and i == n
-        if left_lower and right_lower and not whole_curve:
-            peaks.append(start)
-        start = i
-    return peaks
+    starts = np.flatnonzero(np.concatenate(([True], probs[1:] != probs[:-1])))
+    if starts.size < 2:  # an empty curve or a single run spanning it
+        return starts[:0]
+    values = probs[starts]
+    left_lower = np.concatenate(([True], values[:-1] < values[1:]))
+    right_lower = np.concatenate((values[1:] < values[:-1], [True]))
+    return starts[left_lower & right_lower]
 
 
 def pick_peaks(curve: PredictionCurve, threshold: float) -> BoundarySet:
     """Thresholded peak picking with six-second non-maximum suppression.
 
-    Candidates are processed strongest-first (ties: earlier frame wins) and
-    accepted only when no already-accepted peak lies within six seconds.
-    A weaker candidate never displaces a stronger one, so the peaks kept at
-    a higher threshold are exactly those kept at a lower one whose
-    probability reaches it.  Accepted frames convert to seconds relative to
-    the padding offset; negative times are dropped.
+    Candidates are processed strongest-first (a stable sort, so on ties the
+    earlier frame wins) and accepted only when no already-accepted peak lies
+    within six seconds.  The accepted frames are kept sorted, so a bisection
+    finds the nearest one on each side and only those two are compared:
+    O(C log A) for C candidates and A accepted peaks.  A weaker candidate
+    never displaces a stronger one, so the peaks kept at a higher threshold
+    are exactly those kept at a lower one whose probability reaches it.
+    Accepted frames convert to seconds relative to the padding offset;
+    negative times are dropped.
     """
-    candidates = [f for f in _peak_frames(curve.probs)
-                  if curve.probs[f] >= threshold]
-    candidates.sort(key=lambda f: (-curve.probs[f], f))
+    probs = curve.probs
+    candidates = _peak_frames(probs)
+    candidates = candidates[probs[candidates] >= threshold]
+    candidates = candidates[np.argsort(-probs[candidates], kind="stable")]
     accepted = []
     min_gap = SUPPRESSION_SECONDS * curve.frame_rate
-    for f in candidates:
-        if all(abs(f - a) >= min_gap for a in accepted):
-            accepted.append(f)
+    for f in candidates.tolist():
+        i = bisect_left(accepted, f)
+        if ((i == 0 or f - accepted[i - 1] >= min_gap)
+                and (i == len(accepted) or accepted[i] - f >= min_gap)):
+            accepted.insert(i, f)
     times = [(f - curve.pad_frames) / curve.frame_rate for f in accepted]
     return BoundarySet(t for t in times if t >= 0.0)
 
@@ -98,8 +104,10 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
 
     Peaks are picked once per curve at threshold 0; each threshold keeps
     those whose probability reaches it, which is what :func:`pick_peaks`
-    returns at that threshold.  The kept peaks change at few thresholds, so
-    each distinct selection is scored once.
+    returns at that threshold.  One ``searchsorted`` of the grid into each
+    curve's sorted peak probabilities counts the peaks kept at every
+    threshold.  The kept peaks change at few thresholds, so each distinct
+    selection is scored once.
     """
     if not pairs:
         raise ValueError("need at least one (curve, reference) pair")
@@ -109,13 +117,13 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
         # each peak's frame, recovered from its time, gives its probability
         frames = np.rint(peaks.times * curve.frame_rate).astype(int) + curve.pad_frames
         picked.append((ref, peaks.times, curve.probs[frames]))
-    n_steps = int(round(1.0 / SWEEP_STEP))
+    grid = np.arange(int(round(1.0 / SWEEP_STEP)) + 1) * SWEEP_STEP
+    counts = np.array([probs.size - np.searchsorted(np.sort(probs), grid, side="left")
+                       for _, _, probs in picked]).T
     rows = []
     best_threshold, best_f = 0.0, -1.0
     reports = {}  # by the number of peaks each curve keeps
-    for i in range(n_steps + 1):
-        threshold = i * SWEEP_STEP
-        kept = tuple(np.count_nonzero(probs >= threshold) for _, _, probs in picked)
+    for threshold, kept in zip(grid.tolist(), map(tuple, counts.tolist())):
         if kept not in reports:
             scored = [(ref, BoundarySet(times[probs >= threshold]))
                       for ref, times, probs in picked]
