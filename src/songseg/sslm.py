@@ -413,13 +413,10 @@ def recurrence(d: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """
     if d.shape != eps.shape:
         raise ValueError("distance and equalization arrays must align")
-    ratio = np.empty_like(d)
-    ok = eps >= EPSILON_MIN
-    ratio[ok] = np.minimum(d[ok] / eps[ok], RATIO_LARGE)
-    degenerate = ~ok
-    ratio[degenerate] = np.where(d[degenerate] < EPSILON_MIN, 0.0, RATIO_LARGE)
-    r = sigmoid(1.0 - ratio)
-    return np.nan_to_num(r, nan=0.0)
+    ratio = np.where(d < EPSILON_MIN, 0.0, RATIO_LARGE)
+    np.divide(d, eps, out=ratio, where=eps >= EPSILON_MIN)
+    np.minimum(ratio, RATIO_LARGE, out=ratio)  # leaves 0 and RATIO_LARGE as they are
+    return np.nan_to_num(sigmoid(1.0 - ratio), nan=0.0, copy=False)
 
 
 class FrontEnd:
