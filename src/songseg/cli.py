@@ -283,12 +283,12 @@ def cmd_sweep(args) -> int:
         curve = postprocess.from_logits(logits, ex.target.frame_rate,
                                         ex.target.pad_frames)
         pairs.append((curve, ex.boundaries))
-    _, rows = postprocess.sweep_threshold(
+    best, rows = postprocess.sweep_threshold(
         pairs, tolerance=args.tolerance, beta=args.beta)
     postprocess.write_sweep_csv(args.out_csv, rows)
     if args.out_svg:
         _sweep_svg(args.out_svg, rows, args.beta)
-    best_row = max(rows, key=lambda r: r.f_score)  # first maximum, as the sweep
+    best_row = next(r for r in rows if r.threshold == best)
     print(f"optimum threshold {best_row.threshold:.3f} "
           f"(F{args.beta:g}={best_row.f_score:.3f}) -> {args.out_csv}")
     return 0
