@@ -144,11 +144,12 @@ class TestSweepThreshold:
         assert len(lines) == 202
 
 
-# Probability curves from a few levels, so plateaus and equal peaks abound.
+# Probability curves from a few levels, so plateaus, equal peaks and NaN
+# runs abound.
+_LEVELS = [0.0, 0.1, 0.2, 0.205, 0.5, 0.5, 0.9, 1.0, np.nan]
 _plateau_curves = st.tuples(
-    arrays(np.float64, st.integers(1, 160),
-           elements=st.sampled_from([0.0, 0.1, 0.2, 0.205, 0.5, 0.5, 0.9, 1.0])),
-    st.sampled_from([FRAME_RATE, 1.3, 20.0]),
+    arrays(np.float64, st.integers(0, 160), elements=st.sampled_from(_LEVELS)),
+    st.sampled_from([FRAME_RATE, 1.3, 2.5, 20.0]),
     st.integers(0, 60),
 ).map(lambda t: _curve(*t))
 
@@ -183,62 +184,47 @@ class TestPeakProperties:
         assert best == want_best
 
 
-# Levels with ties and NaN, so plateaus, equal peaks and NaN runs abound.
-_LEVELS = [0.0, 0.1, 0.2, 0.205, 0.5, 0.5, 0.9, 1.0, np.nan]
-_level_curves = st.tuples(
-    arrays(np.float64, st.integers(0, 160), elements=st.sampled_from(_LEVELS)),
-    st.sampled_from([FRAME_RATE, 1.3, 2.5, 20.0]),
-    st.integers(0, 60),
-).map(lambda t: _curve(*t))
-_thresholds = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_LEVELS[:-1]))
+def _frames(probs):
+    return np.asarray(_peak_frames(probs), dtype=int).tolist()
 
 
-def _assert_matches_loops(curve, thresholds=(0.0, 0.2, 0.205, 0.5, 1.0)):
-    """``_peak_frames``, ``pick_peaks`` and the sweep equal the loop oracles."""
-    assert np.asarray(_peak_frames(curve.probs), dtype=int).tolist() == \
-        peak_frames_loop(curve.probs)
-    for threshold in thresholds:
-        assert pick_peaks(curve, threshold) == BoundarySet(pick_peaks_loop(
-            curve.probs, curve.frame_rate, curve.pad_frames, threshold))
-    pairs = [(curve, BoundarySet([0.0, 2.0, 9.5]))]
-    best, rows = sweep_threshold(pairs, tolerance=0.5)
-    want_best, want_rows = sweep_threshold_loop(pairs, tolerance=0.5)
+def _assert_sweep_matches_loop(pairs, tolerance=0.5, beta=1.0):
+    best, rows = sweep_threshold(pairs, tolerance=tolerance, beta=beta)
+    want_best, want_rows = sweep_threshold_loop(pairs, tolerance=tolerance, beta=beta)
     assert [(r.threshold, r.precision, r.recall, r.f_score) for r in rows] == want_rows
     assert best == want_best
 
 
+def _assert_matches_loops(curve, thresholds=(0.0, 0.2, 0.205, 0.5, 1.0)):
+    """``_peak_frames``, ``pick_peaks`` and the sweep equal the loop oracles."""
+    assert _frames(curve.probs) == peak_frames_loop(curve.probs)
+    for threshold in thresholds:
+        assert pick_peaks(curve, threshold) == BoundarySet(pick_peaks_loop(
+            curve.probs, curve.frame_rate, curve.pad_frames, threshold))
+    _assert_sweep_matches_loop([(curve, BoundarySet([0.0, 2.0, 9.5]))])
+
+
 class TestAgainstLoopOracles:
     @settings(max_examples=300, deadline=None)
-    @given(probs=arrays(np.float64, st.integers(0, 200),
-                        elements=st.sampled_from(_LEVELS)))
+    @given(probs=arrays(np.float64, st.integers(0, 200), elements=st.one_of(
+        st.sampled_from(_LEVELS), st.floats(0.0, 1.0, allow_subnormal=False))))
     def test_peak_frames(self, probs):
-        assert np.asarray(_peak_frames(probs), dtype=int).tolist() == \
-            peak_frames_loop(probs)
+        assert _frames(probs) == peak_frames_loop(probs)
 
     @settings(max_examples=300, deadline=None)
-    @given(probs=arrays(np.float64, st.integers(0, 200),
-                        elements=st.floats(0.0, 1.0, allow_subnormal=False)))
-    def test_peak_frames_on_distinct_values(self, probs):
-        assert np.asarray(_peak_frames(probs), dtype=int).tolist() == \
-            peak_frames_loop(probs)
-
-    @settings(max_examples=300, deadline=None)
-    @given(curve=_level_curves, threshold=_thresholds)
+    @given(curve=_plateau_curves, threshold=st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from(_LEVELS[:-1])))
     def test_pick_peaks(self, curve, threshold):
         assert pick_peaks(curve, threshold) == BoundarySet(pick_peaks_loop(
             curve.probs, curve.frame_rate, curve.pad_frames, threshold))
 
     @settings(max_examples=60, deadline=None)
-    @given(curves=st.lists(_level_curves, min_size=1, max_size=3),
+    @given(curves=st.lists(_plateau_curves, min_size=1, max_size=3),
            refs=st.lists(st.floats(0.0, 60.0), max_size=5),
            tolerance=st.sampled_from([0.5, 3.0]), beta=st.sampled_from([0.5, 1.0]))
     def test_sweep_threshold(self, curves, refs, tolerance, beta):
-        pairs = [(curve, BoundarySet(refs)) for curve in curves]
-        best, rows = sweep_threshold(pairs, tolerance=tolerance, beta=beta)
-        want_best, want_rows = sweep_threshold_loop(pairs, tolerance=tolerance,
-                                                    beta=beta)
-        assert [(r.threshold, r.precision, r.recall, r.f_score) for r in rows] == want_rows
-        assert best == want_best
+        _assert_sweep_matches_loop([(curve, BoundarySet(refs)) for curve in curves],
+                                   tolerance, beta)
 
     @pytest.mark.parametrize("probs, frames", [
         ([], []),
@@ -255,7 +241,7 @@ class TestAgainstLoopOracles:
     ])
     def test_edge_curves(self, probs, frames):
         curve = _curve(probs, frame_rate=1.3, pad=0)
-        assert np.asarray(_peak_frames(curve.probs), dtype=int).tolist() == frames
+        assert _frames(curve.probs) == frames
         _assert_matches_loops(curve)
 
     @pytest.mark.parametrize("frame_rate, gap, both_kept", [
@@ -272,12 +258,16 @@ class TestAgainstLoopOracles:
         assert pick_peaks(curve, 0.0).times.tolist() == want
         _assert_matches_loops(curve)
 
-    @pytest.mark.parametrize("first, second", [(6, 11), (11, 6)])
-    def test_equal_candidates_earlier_frame_wins(self, first, second):
+    @pytest.mark.parametrize("frames, kept", [  # min_gap 7.8
+        ((6, 11), [6]),
+        ((6, 11, 14), [6, 14]),
+        ((3, 9, 12, 20), [3, 12, 20]),
+    ])
+    def test_equal_candidates_earlier_frame_wins(self, frames, kept):
         probs = np.zeros(30)
-        probs[first] = probs[second] = 0.5  # 5 frames apart, min_gap 7.8
+        probs[list(frames)] = 0.5
         curve = _curve(probs, frame_rate=1.3, pad=0)
-        assert pick_peaks(curve, 0.0).times.tolist() == [min(first, second) / 1.3]
+        assert pick_peaks(curve, 0.0).times.tolist() == [f / 1.3 for f in kept]
         _assert_matches_loops(curve)
 
     @pytest.mark.parametrize("pad", [40, 41, 200])
