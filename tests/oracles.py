@@ -17,8 +17,9 @@ their replacements must equal bit for bit: per-lag gathered distances, the
 per-lag partition equalizer, per-band pink noise, ``-inf``-padded time
 pooling, the ``hstack`` noise-floor pad, the per-tap max pool, the pool's
 routing into its padded input, the model's former activate-then-pool
-order, the masked-gather recurrence, and the frame-by-frame peak picking
-with its all-pairs suppression and per-threshold sweep counts.
+order, the masked-gather recurrence, the frame-by-frame peak picking
+with its all-pairs suppression and per-threshold sweep counts, and the
+masked ``np.where`` LeakyReLU.
 """
 
 from dataclasses import dataclass
@@ -753,6 +754,13 @@ def maxpool2d_backward_padded(grad_out, cache):
         nonneg, slope = act
         grad_xp[flat[~nonneg.reshape(arg.shape)]] *= slope
     return grad_xp.reshape(xp_shape)[crop]
+
+
+def leaky_relu_by_where(x, slope):
+    """``(values, nonneg)``: ``x`` where it is >= 0, else ``slope * x``, by mask."""
+    x = np.asarray(x, dtype=np.float64)
+    nonneg = x >= 0
+    return np.where(nonneg, x, slope * x), nonneg
 
 
 def boundary_net_act_first(net, x, grad_logits):

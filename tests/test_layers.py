@@ -12,7 +12,7 @@ from songseg.pipeline import extract_inputs
 from songseg.synth import synth_corpus
 
 from oracles import (boundary_net_act_first, conv2d_by_gather, finite_difference,
-                     maxpool2d_backward_padded, maxpool2d_by_gather, maxpool2d_per_tap,
+                     leaky_relu_by_where, maxpool2d_backward_padded, maxpool2d_by_gather, maxpool2d_per_tap,
                      relative_error)
 
 GRAD_TOL = 1e-4
@@ -429,7 +429,12 @@ class TestInferenceKernels:
                                        -1e-308])),
            slope=st.sampled_from([model.LEAKY_SLOPE, 5e-324, 0.3, 1.0]))
     def test_in_place_leaky_relu_matches(self, x, slope):
-        want, (want_nonneg, _) = layers.leaky_relu_forward(x, slope)
+        want, want_nonneg = leaky_relu_by_where(x, slope)
+        before = x.tobytes()
+        got, (nonneg, got_slope) = layers.leaky_relu_forward(x, slope)
+        assert x.tobytes() == before
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(nonneg, want_nonneg) and got_slope == slope
         buf = x.copy()
         got, (nonneg, _) = layers.leaky_relu_forward(buf, slope, inplace=True)
         assert got is buf
