@@ -241,9 +241,8 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.ckpt")
-    best = BoundaryNet(input_height=model.input_height, seed=run.seed)
-    best.load_params(result.best_params)
-    serialize.save_checkpoint(best, result.best_adam, ckpt_path,
+    model.load_params(result.best_params)
+    serialize.save_checkpoint(model, result.best_adam, ckpt_path,
                               config_hash=run.pipeline_hash(),
                               epoch=result.best_epoch)
     log_path = os.path.join(args.out, "train_log.csv")

@@ -262,18 +262,16 @@ def maxpool2d_backward(grad_out, cache):
 
 
 def leaky_relu_forward(x, slope=0.01, inplace=False):
-    """``x`` where it is >= 0, else ``slope * x``.
+    """``x`` where it is >= 0, else ``slope * x``, as ``max(x, slope * x)``.
 
-    ``inplace`` overwrites ``x`` with ``max(x, slope * x)``, the same values
-    (signed zeros, infinities and NaN included) for a slope in (0, 1].
+    The two agree only for a slope in (0, 1], so any other slope is a
+    ValueError.  ``inplace`` writes the result over ``x``.
     """
+    if not 0.0 < slope <= 1.0:
+        raise ValueError(f"a LeakyReLU needs a slope in (0, 1], got {slope}")
     x = np.asarray(x, dtype=np.float64)
     nonneg = x >= 0
-    if not inplace:
-        return np.where(nonneg, x, slope * x), (nonneg, slope)
-    if not 0.0 < slope <= 1.0:
-        raise ValueError(f"an in-place LeakyReLU needs a slope in (0, 1], got {slope}")
-    return np.maximum(x, slope * x, out=x), (nonneg, slope)
+    return np.maximum(x, slope * x, out=x if inplace else None), (nonneg, slope)
 
 
 def leaky_relu_backward(grad_out, cache):

@@ -27,14 +27,27 @@ CONV3 = {"maps": 128, "kernel": (1, 1), "stride": (1, 1), "pad": (0, 0),
 CONV4 = {"maps": 1, "kernel": (1, 1), "stride": (1, 1), "pad": (0, 0),
          "dilation": (1, 1)}
 
-PARAM_NAMES = ("conv1.w", "conv1.b", "conv2.w", "conv2.b",
-               "conv3.w", "conv3.b", "conv4.w", "conv4.b")
+
+def param_shapes(input_height: int) -> dict:
+    """Name -> shape of each parameter, in initialisation and checkpoint order."""
+    if input_height < 3:
+        raise ValueError("input height must be at least 3")
+    # conv3's input channels are conv2's maps times the pooled height
+    conv3_in = CONV2["maps"] * layers.conv_output_size(
+        input_height, POOL["kernel"][0], POOL["stride"][0], POOL["pad"][0], 1)
+    return {
+        "conv1.w": (CONV1["maps"], 1, *CONV1["kernel"]),
+        "conv1.b": (CONV1["maps"],),
+        "conv2.w": (CONV2["maps"], CONV1["maps"], *CONV2["kernel"]),
+        "conv2.b": (CONV2["maps"],),
+        "conv3.w": (CONV3["maps"], conv3_in, *CONV3["kernel"]),
+        "conv3.b": (CONV3["maps"],),
+        "conv4.w": (CONV4["maps"], CONV3["maps"], *CONV4["kernel"]),
+        "conv4.b": (CONV4["maps"],),
+    }
 
 
-def pooled_height(input_height: int) -> int:
-    return layers.conv_output_size(
-        input_height, POOL["kernel"][0], POOL["stride"][0], POOL["pad"][0], 1
-    )
+PARAM_NAMES = tuple(param_shapes(3))
 
 
 def _he_uniform(rng, shape) -> np.ndarray:
@@ -54,22 +67,12 @@ class BoundaryNet:
     """
 
     def __init__(self, input_height: int, seed: int = 0):
-        if input_height < 3:
-            raise ValueError("input height must be at least 3")
         self.input_height = int(input_height)
-        self.pooled_height = pooled_height(self.input_height)
-        self.seed = int(seed)
         rng = np.random.default_rng(seed)
-        conv3_in = CONV2["maps"] * self.pooled_height
         self.params = {
-            "conv1.w": _he_uniform(rng, (CONV1["maps"], 1, *CONV1["kernel"])),
-            "conv1.b": np.zeros(CONV1["maps"], dtype=np.float32),
-            "conv2.w": _he_uniform(rng, (CONV2["maps"], CONV1["maps"], *CONV2["kernel"])),
-            "conv2.b": np.zeros(CONV2["maps"], dtype=np.float32),
-            "conv3.w": _he_uniform(rng, (CONV3["maps"], conv3_in, *CONV3["kernel"])),
-            "conv3.b": np.zeros(CONV3["maps"], dtype=np.float32),
-            "conv4.w": _he_uniform(rng, (CONV4["maps"], CONV3["maps"], *CONV4["kernel"])),
-            "conv4.b": np.zeros(CONV4["maps"], dtype=np.float32),
+            name: _he_uniform(rng, shape) if name.endswith(".w")
+            else np.zeros(shape, dtype=np.float32)
+            for name, shape in param_shapes(self.input_height).items()
         }
         self.workspace = layers.Workspace()
         self._generation = 0  # forwards run; caches record theirs
@@ -81,8 +84,6 @@ class BoundaryNet:
             x = x[None, None]
         if x.ndim != 4:
             raise ValueError(f"expected a 2-D image or 4-D tensor, got {x.shape}")
-        if x.shape[2] < 3:
-            raise ValueError("input height must be at least 3")
         if x.shape[2] != self.input_height:
             raise ValueError(
                 f"model expects height {self.input_height}, input has {x.shape[2]}"

@@ -122,7 +122,8 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
     Returns ``(stacked_2d_array, frame_rate, pad_frames)``.  The track's
     ``.meta`` sidecar must exist (else :class:`FileNotFoundError`) and carry
     ``run``'s pipeline hash (else :class:`CompatibilityError`), so matrices
-    extracted under another configuration are never loaded.  A NaN or
+    extracted under another configuration are never loaded, and the frame
+    rate and pad are ``run``'s, which that hash binds.  A NaN or
     infinite value is a :class:`FormatError` naming the matrix file and the
     value's 0-based row and column.
     """
@@ -132,7 +133,6 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
             f"track {track_id!r}: features in {features_dir} were extracted "
             "under a different pipeline configuration; re-run 'songseg features'")
     arrays = []
-    pad_frames = run.params.final_pad
     for name in run.input_names():
         path = os.path.join(features_dir, matrix_filename(track_id, name))
         m = serialize.load_matrix(path)
@@ -141,9 +141,8 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
             row, col = np.argwhere(~np.isfinite(values))[0]
             raise FormatError(f"{path}: non-finite value at row {row}, column {col}")
         arrays.append(values)
-        pad_frames = m.pad_frames
     widths = {a.shape[1] for a in arrays}
     if len(widths) != 1:
         raise ValueError(f"track {track_id!r}: matrices disagree on frames")
     stacked = np.vstack(arrays)
-    return stacked, run.params.frame_rate, pad_frames
+    return stacked, run.params.frame_rate, run.params.final_pad

@@ -15,19 +15,17 @@ written through :func:`write_text`.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CompatibilityError, FormatError
-from .model import PARAM_NAMES, BoundaryNet
+from .model import PARAM_NAMES, BoundaryNet, param_shapes
 from .optim import AdamState
-
-if TYPE_CHECKING:
-    from .spectral import FeatureMatrix
+from .spectral import FeatureMatrix
 
 MATRIX_MAGIC = b"SSEGMAT1"
 MATRIX_DTYPE_F32 = 1
@@ -90,8 +88,6 @@ def save_matrix(m: FeatureMatrix, path) -> None:
 
 def load_matrix(path) -> FeatureMatrix:
     """Read a matrix file; the result has kind ``net_input``."""
-    # Imported here: spectral imports audio and params, which import this module.
-    from .spectral import FeatureMatrix
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MATRIX_MAGIC) + 28:
@@ -202,8 +198,8 @@ def load_checkpoint(path, expected_hash: str = None):
             raise FormatError(f"{path}: checkpoint tensor name is not UTF-8") from None
         ndim = r.u32()
         shape = tuple(r.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        tensors[name] = np.frombuffer(r.take(count * 4), dtype="<f4").reshape(shape).copy()
+        tensors[name] = np.frombuffer(r.take(4 * math.prod(shape)),
+                                      dtype="<f4").reshape(shape).copy()
 
     if expected_hash is not None and stored_hash != expected_hash:
         raise CompatibilityError(
@@ -211,15 +207,18 @@ def load_checkpoint(path, expected_hash: str = None):
             f"match expected {expected_hash[:12]}..."
         )
 
-    model = BoundaryNet(input_height=input_height)
-    for name in PARAM_NAMES:
-        expected = model.params[name].shape
+    try:
+        shapes = param_shapes(input_height)
+    except ValueError as exc:
+        raise FormatError(f"{path}: checkpoint {exc}") from None
+    for name, expected in shapes.items():
         for key in (name, f"adam.m/{name}", f"adam.v/{name}"):
             if key not in tensors:
                 raise FormatError(f"{path}: checkpoint lacks tensor {key!r}")
             if tensors[key].shape != expected:
                 raise FormatError(f"{path}: checkpoint tensor {key!r} has shape "
                                   f"{tensors[key].shape}, expected {expected}")
+    model = BoundaryNet(input_height=input_height)
     model.load_params({name: tensors[name] for name in PARAM_NAMES})
     adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=adam_t)
     for name in PARAM_NAMES:

@@ -9,12 +9,15 @@ stages need to convert frames back to seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audio import AudioBuffer
 from .errors import InputTooShortError
-from .params import PipelineParams
+
+if TYPE_CHECKING:
+    from .audio import AudioBuffer
+    from .params import PipelineParams
 
 FEATURE_KINDS = ("stft_mag", "mls", "chroma", "sslm", "net_input")
 # Frames windowed and transformed per step of the STFT: bounds its

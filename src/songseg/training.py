@@ -47,7 +47,6 @@ class TrainResult:
     best_params: dict
     best_adam: AdamState
     best_epoch: int
-    best_val_loss: float
 
 
 def _score(ex, logits, threshold):
@@ -129,7 +128,7 @@ def train(
 
     return TrainResult(adam=adam, log=log,
                        best_params=best_params, best_adam=best_adam,
-                       best_epoch=best_epoch, best_val_loss=float(best_val_loss))
+                       best_epoch=best_epoch)
 
 
 def write_log_csv(path, log) -> None:

@@ -5,8 +5,8 @@ An AST scan of ``src/songseg/*.py`` checks two rules:
 - the builtin ``open`` is called with a mode other than ``"rb"`` only inside
   ``serialize.atomic_write``, so every file is replaced atomically and every
   text file is written by ``serialize.write_text``;
-- no function body holds an import, except ``serialize.load_matrix``: a
-  function-local import is how an import cycle between modules stays hidden.
+- no function body holds an import: a function-local import is how an
+  import cycle between modules stays hidden.
 """
 
 import ast
@@ -14,9 +14,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (module, outermost function) allowed to break each rule.
+# (module, outermost function) allowed to open a file for writing.
 WRITERS = {("serialize", "atomic_write")}
-LOCAL_IMPORTS = {("serialize", "load_matrix")}
 
 
 def _open_mode(call):
@@ -41,8 +40,7 @@ def io_violations(sources):
                     owner.setdefault(node, fn.name)
         for node in ast.walk(tree):
             where = (module, owner.get(node))
-            if (isinstance(node, (ast.Import, ast.ImportFrom)) and where[1]
-                    and where not in LOCAL_IMPORTS):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and where[1]:
                 found.append((module, node.lineno, f"import inside {where[1]}"))
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "open" and where not in WRITERS):
@@ -80,5 +78,6 @@ def test_guard_flags_writes_and_function_local_imports():
     assert io_violations(package) == [
         "audio:6 open mode 'r' outside atomic_write",
         "audio:11 import inside write",
+        "serialize:7 import inside load_matrix",
         "serialize:12 open mode 'w' outside atomic_write",
     ]

@@ -444,8 +444,9 @@ class TestInferenceKernels:
     @pytest.mark.parametrize("slope", [0.0, -0.5, 1.5])
     def test_in_place_leaky_relu_rejects_slope(self, slope):
         # slope 0 would turn inf into max(inf, 0 * inf) = NaN
-        with pytest.raises(ValueError, match="slope"):
-            layers.leaky_relu_forward(np.ones(3), slope, inplace=True)
+        for inplace in (True, False):
+            with pytest.raises(ValueError, match="slope"):
+                layers.leaky_relu_forward(np.ones(3), slope, inplace=inplace)
 
     def test_workspace_serves_views_of_one_buffer_per_role(self):
         take = layers.Workspace().buffers("conv1")

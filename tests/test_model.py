@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from songseg import layers
 from songseg.layers import bce_with_logits
 from songseg.model import CONV1, CONV2, CONV3, CONV4, PARAM_NAMES, POOL, \
-    BoundaryNet, pooled_height
+    BoundaryNet, param_shapes
 
 from oracles import finite_difference_at, relative_error
 
@@ -27,7 +27,6 @@ class TestArchitecture:
 
     def test_parameter_shapes_for_mel_input(self):
         net = BoundaryNet(input_height=80)
-        assert pooled_height(80) == 16
         p = net.params
         assert p["conv1.w"].shape == (32, 1, 5, 7)
         assert p["conv2.w"].shape == (64, 32, 3, 5)
@@ -35,6 +34,13 @@ class TestArchitecture:
         assert p["conv4.w"].shape == (1, 128, 1, 1)
         assert all(p[f"conv{i}.b"].shape == (p[f"conv{i}.w"].shape[0],)
                    for i in (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("height", [3, 7, 12, 80, 480])
+    def test_param_shapes_is_the_parameter_table(self, height):
+        shapes = param_shapes(height)
+        assert PARAM_NAMES == tuple(shapes)
+        net = BoundaryNet(input_height=height)
+        assert [(n, p.shape) for n, p in net.params.items()] == list(shapes.items())
 
     def test_params_stored_float32(self):
         net = BoundaryNet(input_height=80)
@@ -68,8 +74,10 @@ class TestForward:
             net.forward(rng.standard_normal((96, 10)))
 
     def test_tiny_height_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 3"):
             BoundaryNet(input_height=2)
+        with pytest.raises(ValueError, match="at least 3"):
+            param_shapes(0)
 
     def test_seed_determinism(self):
         a = BoundaryNet(input_height=80, seed=11)

@@ -1,10 +1,12 @@
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from songseg import pipeline, spectral, sslm
+from songseg.annotations import BoundarySet, to_target_curve
 from songseg.audio import write_wav
 from songseg.errors import CompatibilityError, FormatError
 from songseg.params import PipelineParams, RunConfig, SSLM_VARIANTS
@@ -170,6 +172,28 @@ class TestTrackFeatureFiles:
         assert stacked.shape[0] == 180
         assert frame_rate == pytest.approx(44100 / (1024 * 6))
         assert pad == 50
+
+    def test_load_track_input_takes_its_pad_from_the_config(self, corpus):
+        tmp_path, wav = corpus
+        out = tmp_path / "features"
+        run = RunConfig(include_mls=True, sslm_inputs=("mfcc-euclidean",))
+        paths = extract_track_features(wav, out, run)
+
+        def target():
+            stacked, frame_rate, pad = load_track_input(out, "track000", run)
+            assert pad == run.params.final_pad
+            return to_target_curve(BoundarySet([1.0, 3.5]), stacked.shape[1],
+                                   frame_rate, pad).values
+
+        before = target()
+        with open(paths[-1], "rb") as fh:
+            data = bytearray(fh.read())
+        assert struct.unpack_from("<I", data, 32) == (run.params.final_pad,)
+        struct.pack_into("<I", data, 32, 7)  # the header's pad field
+        with open(paths[-1], "wb") as fh:
+            fh.write(data)
+        assert load_matrix(paths[-1]).pad_frames == 7
+        assert target().tobytes() == before.tobytes()
 
     def test_missing_matrix_raises(self, corpus):
         tmp_path, wav = corpus

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -121,9 +122,14 @@ def _assert_checkpoint_equal(model, adam, model2, adam2):
         (adam2.lr, adam2.beta1, adam2.beta2, adam2.eps)
 
 
-# Offsets into a checkpoint: the tensor count (the last header field) and
-# the first byte of the first tensor name.
-_COUNT_AT, _NAME_AT = 92, 100
+# Offsets into a checkpoint: the input height, the tensor count (the last
+# header field), the first byte of the first tensor name and, after that
+# name ("conv1.w"), the first tensor's shape.
+_HEIGHT_AT, _COUNT_AT, _NAME_AT, _SHAPE_AT = 56, 92, 100, 107
+
+
+def _with_u32(data, at, value):
+    return data[:at] + struct.pack("<I", value) + data[at + 4:]
 
 
 class TestCheckpoint:
@@ -198,7 +204,19 @@ class TestCheckpoint:
          "checkpoint lacks tensor 'conv1.w'"),
         (lambda d: d[:_NAME_AT] + b"\xff" + d[_NAME_AT + 1:],
          "checkpoint tensor name is not UTF-8"),
-    ], ids=["header-only", "bad-name"])
+        # 2**64 elements: a wrapping product would ask for 0 bytes
+        (lambda d: d[:_SHAPE_AT + 4] + struct.pack("<4I", *[65536] * 4)
+         + d[_SHAPE_AT + 20:], "checkpoint truncated"),
+        (lambda d: _with_u32(d, _HEIGHT_AT, 0),
+         "checkpoint input height must be at least 3"),
+        (lambda d: _with_u32(d, _HEIGHT_AT, 2),
+         "checkpoint input height must be at least 3"),
+        # the shapes are checked before a model of this height is built
+        (lambda d: _with_u32(d, _HEIGHT_AT, 4000),
+         "checkpoint tensor 'conv3.w' has shape (128, 128, 1, 1), "
+         "expected (128, 51200, 1, 1)"),
+    ], ids=["header-only", "bad-name", "huge-shape", "height-0", "height-2",
+            "height-4000"])
     def test_malformed_tensor_table_names_file(self, tmp_path, damage, message):
         path = tmp_path / "c.ckpt"
         model = BoundaryNet(input_height=12)
@@ -206,9 +224,19 @@ class TestCheckpoint:
                         RunConfig().pipeline_hash(), epoch=1)
         data = path.read_bytes()
         assert data[_NAME_AT - 4:_NAME_AT + 7] == struct.pack("<I", 7) + b"conv1.w"
+        assert data[_SHAPE_AT:_SHAPE_AT + 20] == struct.pack("<5I", 4, 32, 1, 5, 7)
+        assert data[_HEIGHT_AT:_HEIGHT_AT + 4] == struct.pack("<I", 12)
         path.write_bytes(damage(data))
-        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}"):
-            load_checkpoint(path, expected_hash=RunConfig().pipeline_hash())
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError,
+                               match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_checkpoint(path, expected_hash=RunConfig().pipeline_hash())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a model built for height 4000 would allocate about 80 MB
+        assert peak < 10e6
 
     @pytest.mark.parametrize("tensor", ["conv3.w", "adam.m/conv2.b",
                                         "adam.v/conv4.w"])
