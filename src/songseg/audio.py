@@ -51,7 +51,8 @@ def read_wav(path) -> AudioBuffer:
     ------
     FormatError
         If the file is not a RIFF/WAVE container, uses an unsupported
-        encoding, or its data chunk is not a whole number of samples.
+        encoding, declares a sample rate of 0, or its data chunk is not a
+        whole number of samples.
     OSError
         If the declared data payload is truncated.
     """
@@ -85,6 +86,8 @@ def read_wav(path) -> AudioBuffer:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise FormatError(f"{path}: unsupported channel count {channels}")
+    if sample_rate == 0:
+        raise FormatError(f"{path}: sample rate 0")
     if audio_format == 1 and bits == 16:
         dtype, scale = "<i2", 32768.0
     elif audio_format == 3 and bits == 32:

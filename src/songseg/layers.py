@@ -6,10 +6,11 @@ rule.  Tensors are ``(batch=1, channels, height, width)`` arrays; all
 arithmetic runs in float64 regardless of input dtype so finite-difference
 checks stay meaningful.
 
-The convolution and the pool take an optional ``buffers(role, shape)``
-callable, such as :meth:`Workspace.buffers`, that supplies their large
-temporaries in place of fresh arrays.  Their output and cache then live in
-those buffers, and are overwritten when the buffers are handed out again.
+The convolution, the pool and the cache-free LeakyReLU take an optional
+``buffers(role, shape)`` callable, such as :meth:`Workspace.buffers`, that
+supplies their large temporaries in place of fresh arrays.  Their output
+and cache then live in those buffers, and are overwritten when the buffers
+are handed out again.
 """
 
 from __future__ import annotations
@@ -31,17 +32,37 @@ class Workspace:
     def __init__(self):
         self._flat = {}
 
-    def buffers(self, layer: str):
-        """The ``buffers(role, shape)`` callable for one layer's roles."""
-        return functools.partial(self._take, layer)
+    def buffers(self, layer: str, region=None, roles=()):
+        """The ``buffers(role, shape)`` callable for one layer's roles; those
+        named in ``roles`` come from ``region``, a :class:`Region`, instead."""
+        return functools.partial(self._take, layer, region, roles)
 
-    def _take(self, layer, role, shape):
-        n = math.prod(shape)
-        key = f"{layer}.{role}"
+    def flat(self, key: str, n: int) -> np.ndarray:
+        """The whole buffer ``key``, grown to at least ``n`` elements."""
         if key not in self._flat or self._flat[key].size < n:
             self._flat.pop(key, None)  # free the old buffer before growing
             self._flat[key] = np.empty(n)
-        return self._flat[key][:n].reshape(shape)
+        return self._flat[key]
+
+    def _take(self, layer, region, roles, role, shape):
+        if role in roles:
+            return region(role, shape)
+        n = math.prod(shape)
+        return self.flat(f"{layer}.{role}", n)[:n].reshape(shape)
+
+
+class Region:
+    """A ``buffers(role, shape)`` callable laying views end to end from the
+    start of one flat buffer, for roles that are all dead before the
+    buffer's own role writes it.  A view past its end is a ValueError."""
+
+    def __init__(self, flat):
+        self._flat = flat
+        self._end = 0
+
+    def __call__(self, role, shape):
+        start, self._end = self._end, self._end + math.prod(shape)
+        return self._flat[start : self._end].reshape(shape)
 
 
 def _empty(buffers, role, shape):
@@ -261,17 +282,24 @@ def maxpool2d_backward(grad_out, cache):
     return grad_x[:n].reshape(1, c, h, w)
 
 
-def leaky_relu_forward(x, slope=0.01, inplace=False):
+def leaky_relu_forward(x, slope=0.01, inplace=False, keep_cache=True,
+                       buffers=None):
     """``x`` where it is >= 0, else ``slope * x``, as ``max(x, slope * x)``.
 
     The two agree only for a slope in (0, 1], so any other slope is a
-    ValueError.  ``inplace`` writes the result over ``x``.
+    ValueError.  ``inplace`` writes the result over ``x``.  With
+    ``keep_cache`` false no sign mask is made, None stands in for the cache,
+    and ``buffers`` supplies the role ``scaled`` that holds ``slope * x``.
     """
     if not 0.0 < slope <= 1.0:
         raise ValueError(f"a LeakyReLU needs a slope in (0, 1], got {slope}")
     x = np.asarray(x, dtype=np.float64)
+    out = x if inplace else None
+    if not keep_cache:
+        scaled = np.multiply(x, slope, out=_empty(buffers, "scaled", x.shape))
+        return np.maximum(x, scaled, out=out), None
     nonneg = x >= 0
-    return np.maximum(x, slope * x, out=x if inplace else None), (nonneg, slope)
+    return np.maximum(x, slope * x, out=out), (nonneg, slope)
 
 
 def leaky_relu_backward(grad_out, cache):

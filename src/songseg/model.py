@@ -11,6 +11,8 @@ height and records it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import layers
@@ -90,6 +92,18 @@ class BoundaryNet:
             )
         return x
 
+    def _front_size(self, width: int) -> int:
+        """Elements of conv2's patch buffer at ``width``: its patch matrix,
+        or, if larger, conv1's patches and output and the pool's padded
+        input laid end to end (conv1 keeps the input's size)."""
+        h, maps = self.input_height, CONV1["maps"]
+        ph, pw = POOL["pad"]
+        pooled = layers.conv_output_size(h, POOL["kernel"][0], POOL["stride"][0],
+                                         ph, 1)
+        conv2 = maps * math.prod(CONV2["kernel"]) * pooled * width
+        conv1 = (math.prod(CONV1["kernel"]) + maps) * h * width
+        return max(conv2, conv1 + maps * (h + 2 * ph) * (width + 2 * pw))
+
     def forward_with_cache(self, x, keep_cache=True):
         """Logits and the per-layer caches ``backward`` reads.
 
@@ -111,22 +125,39 @@ class BoundaryNet:
         ws = self.workspace
         self._generation += 1
         caches = {"generation": self._generation}
+        # conv1's output and the pool's padded input are dead once the pool
+        # returns, and so are conv1's patches when backward will not read
+        # them: they lie end to end in conv2's patch buffer, which conv2's
+        # im2col then overwrites from its start.  Without caches, each
+        # activation's scaled copy goes at its start too.  The buffer is
+        # sized for both modes, so that neither grows it for the other.
+        front = ws.flat("conv2.patches", self._front_size(x.shape[3]))
+        region = layers.Region(front)
+        conv1 = ws.buffers("conv1", region,
+                           ("out",) if keep_cache else ("patches", "out"))
+        pool = ws.buffers("pool", region, ("padded",))
+
+        def act(role, shape):
+            return front[: math.prod(shape)].reshape(shape)
         h, caches["conv1"] = layers.conv2d_forward(
             x, p["conv1.w"], p["conv1.b"], CONV1["stride"], CONV1["pad"],
-            CONV1["dilation"], buffers=ws.buffers("conv1"))
+            CONV1["dilation"], buffers=conv1)
         h, caches["pool"] = layers.maxpool2d_forward(
             h, POOL["kernel"], POOL["stride"], POOL["pad"],
-            buffers=ws.buffers("pool"), keep_cache=keep_cache)
-        h, caches["act1"] = layers.leaky_relu_forward(h, LEAKY_SLOPE, inplace=True)
+            buffers=pool, keep_cache=keep_cache)
+        h, caches["act1"] = layers.leaky_relu_forward(
+            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache, buffers=act)
         h, caches["conv2"] = layers.conv2d_forward(
             h, p["conv2.w"], p["conv2.b"], CONV2["stride"], CONV2["pad"],
             CONV2["dilation"], buffers=ws.buffers("conv2"))
-        h, caches["act2"] = layers.leaky_relu_forward(h, LEAKY_SLOPE, inplace=True)
+        h, caches["act2"] = layers.leaky_relu_forward(
+            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache, buffers=act)
         h, caches["collapse"] = layers.collapse_freq_forward(h)
         h, caches["conv3"] = layers.conv2d_forward(
             h, p["conv3.w"], p["conv3.b"], CONV3["stride"], CONV3["pad"],
             CONV3["dilation"], buffers=ws.buffers("conv3"))
-        h, caches["act3"] = layers.leaky_relu_forward(h, LEAKY_SLOPE, inplace=True)
+        h, caches["act3"] = layers.leaky_relu_forward(
+            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache, buffers=act)
         # conv4's output holds the logits: a fresh array, not a buffer.
         h, caches["conv4"] = layers.conv2d_forward(
             h, p["conv4.w"], p["conv4.b"], CONV4["stride"], CONV4["pad"],

@@ -99,9 +99,12 @@ def extract_track_features(wav_path, out_dir, run: RunConfig,
     matrices = extract_inputs(audio, run)
     os.makedirs(out_dir, exist_ok=True)
     # The sidecar vouches for the matrices beside it: drop the old one
-    # before they are replaced and write the new one last.
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(meta_path)
+    # before they are rewritten and write the new one last.  The old
+    # matrices go too, since a rename over an existing file can force a
+    # flush of the new one.
+    for path in (meta_path, *paths):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     for name, path in zip(run.input_names(), paths):
         serialize.save_matrix(matrices[name], path)
     serialize.write_text(meta_path, [f"pipeline_hash\t{pipeline_hash}",

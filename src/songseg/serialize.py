@@ -87,7 +87,11 @@ def save_matrix(m: FeatureMatrix, path) -> None:
 
 
 def load_matrix(path) -> FeatureMatrix:
-    """Read a matrix file; the result has kind ``net_input``."""
+    """Read a matrix file; the result has kind ``net_input``.
+
+    A header whose hop is not a positive finite number of seconds, or whose
+    pool factor is 0, is a :class:`FormatError`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MATRIX_MAGIC) + 28:
@@ -98,6 +102,10 @@ def load_matrix(path) -> FeatureMatrix:
         "<IIIdII", data, len(MATRIX_MAGIC))
     if dtype_code != MATRIX_DTYPE_F32:
         raise FormatError(f"{path}: unsupported dtype code {dtype_code}")
+    if not (math.isfinite(hop_seconds) and hop_seconds > 0):
+        raise FormatError(f"{path}: hop {hop_seconds!r} s is not positive and finite")
+    if pool_factor == 0:
+        raise FormatError(f"{path}: pool factor 0")
     payload = data[len(MATRIX_MAGIC) + 28 :]
     expected = rows * cols * 4
     if len(payload) != expected:

@@ -130,6 +130,21 @@ class TestReadWav:
         # The former form held a payload copy and two full float64 arrays.
         assert peak < len(payload) + buf.samples.nbytes * 1.1
 
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        (16, "<I", 8, "malformed fmt chunk"),
+        (20, "<H", 6, "unsupported encoding"),
+        (22, "<H", 3, "unsupported channel count 3"),
+        (24, "<I", 0, "sample rate 0"),
+    ])
+    def test_corrupted_header_field(self, tmp_path, offset, fmt, value, message):
+        path = tmp_path / "bad.wav"
+        write_wav(path, AudioBuffer(np.zeros(8), 22050))
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, offset, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}"):
+            read_wav(path)
+
     def test_not_a_wav(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"OggS" + b"\x00" * 100)

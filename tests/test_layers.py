@@ -440,6 +440,15 @@ class TestInferenceKernels:
         assert got is buf
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(nonneg, want_nonneg)
+        # without a cache, slope * x goes to a buffer; a grown one serves a view
+        ws = layers.Workspace()
+        ws.flat("act.scaled", 2 * x.size)
+        for buffers in (None, ws.buffers("act")):
+            buf = x.copy()
+            got, cache = layers.leaky_relu_forward(buf, slope, inplace=True,
+                                                   keep_cache=False, buffers=buffers)
+            assert got is buf and cache is None
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("slope", [0.0, -0.5, 1.5])
     def test_in_place_leaky_relu_rejects_slope(self, slope):
@@ -457,6 +466,19 @@ class TestInferenceKernels:
         grown = take("out", (6, 10))
         assert not np.shares_memory(wide, grown)
         assert np.shares_memory(grown, take("out", (4, 10)))
+
+    def test_region_lays_views_end_to_end(self):
+        ws = layers.Workspace()
+        flat = ws.flat("conv2.patches", 10)
+        region = layers.Region(flat)
+        take = ws.buffers("conv1", region, ("patches", "out"))
+        patches, own = take("patches", (2, 2)), take("padded", (3,))
+        out = take("out", (6,))
+        assert np.shares_memory(patches, flat[:4]) and np.shares_memory(out, flat[4:])
+        assert not np.shares_memory(own, flat)
+        assert ws.flat("conv2.patches", 8) is flat
+        with pytest.raises(ValueError):
+            region("padded", (1,))
 
 
 @functools.lru_cache(maxsize=1)

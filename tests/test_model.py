@@ -212,6 +212,51 @@ class TestWorkspace:
         # bytes = 12.3 MB, and a forward with fresh arrays peaks at 24 MB
         assert peak < 6e6
 
+    @settings(max_examples=30, deadline=None)
+    @given(height=st.integers(3, 24), seed=st.integers(0, 2**16),
+           steps=st.lists(st.tuples(st.integers(1, 40), st.booleans()),
+                          min_size=2, max_size=6))
+    def test_modes_and_widths_interleaved_equal_fresh_models(self, height, seed,
+                                                             steps):
+        # conv2's patch buffer holds other roles in both modes
+        net = BoundaryNet(input_height=height, seed=seed)
+        rng = np.random.default_rng(seed)
+        for i, (width, cached) in enumerate(steps):
+            x = rng.standard_normal((height, width))
+            want = _run(BoundaryNet(input_height=height, seed=seed), x, i)
+            if cached:
+                assert _same_bytes(_run(net, x, i), want)
+            else:
+                assert net.forward(x).tobytes() == want[0].tobytes()
+
+    def test_fresh_cache_free_forward_peak(self, rng):
+        net = BoundaryNet(input_height=80, seed=5)
+        x = rng.standard_normal((80, 746))  # a 90 s track and its padding
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 69.5 MiB here, 67.5 of it the workspace; with a buffer for each of
+        # conv1's patches and output and the pool's padded input it was
+        # 114.4 MiB
+        assert peak < 72 * 2**20
+
+    def test_fresh_training_step_peak(self, rng):
+        net = BoundaryNet(input_height=80, seed=5)
+        x = rng.standard_normal((80, 373))  # the widest acceptance track
+        tracemalloc.start()
+        try:
+            logits, caches = net.forward_with_cache(x)
+            net.backward(np.tanh(logits), caches, input_grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 82.3 MiB here; with buffers of their own for conv1's output and
+        # the pool's padded input it was 96.2 MiB
+        assert peak < 86 * 2**20
+
     def test_outputs_survive_later_forwards(self, rng):
         net = BoundaryNet(input_height=80, seed=6)
         x, other = rng.standard_normal((80, 50)), rng.standard_normal((80, 50))

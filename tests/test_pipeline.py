@@ -233,13 +233,31 @@ class TestTrackFeatureFiles:
         monkeypatch.setattr("songseg.serialize.save_matrix", save_then_fail)
         with pytest.raises(OSError, match="disk full"):
             extract_track_features(wav, out, run, force=True)
-        # The stale sidecar went before any matrix was replaced, so the
-        # half-rewritten track no longer passes as complete.
+        # The stale sidecar and the old matrices went before any matrix was
+        # rewritten, so the half-rewritten track no longer passes as complete.
         assert not (out / "track000.meta").exists()
         with pytest.raises(FileNotFoundError, match="track000.meta"):
             load_track_input(out, "track000", run)
-        assert [open(p, "rb").read() for p in paths] == before
-        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in paths)
+        assert open(paths[0], "rb").read() == before[0]
+        assert os.listdir(out) == [os.path.basename(paths[0])]
+
+    def test_forced_rerun_renames_over_no_file(self, corpus, monkeypatch):
+        tmp_path, wav = corpus
+        out = tmp_path / "features"
+        run = RunConfig(include_mls=True, sslm_inputs=("mfcc-euclidean",))
+        files = [*extract_track_features(wav, out, run), str(out / "track000.meta")]
+        before = [open(p, "rb").read() for p in files]
+        real_replace, targets = os.replace, []
+
+        def replace_recording(src, dst):
+            targets.append((str(dst), os.path.exists(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_recording)
+        extract_track_features(wav, out, run, force=True)
+        assert targets == [(p, False) for p in files]
+        assert [open(p, "rb").read() for p in files] == before
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in files)
 
     def test_load_track_input_rejects_frame_mismatch(self, corpus):
         tmp_path, wav = corpus

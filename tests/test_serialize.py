@@ -58,7 +58,8 @@ class TestMatrixFile:
     @settings(max_examples=100, deadline=None)
     @given(values=arrays(np.float32, st.tuples(st.integers(0, 6), st.integers(0, 9)),
                          elements=st.floats(width=32)),
-           hop=st.floats(allow_nan=False), pool=st.integers(0, 2**32 - 1),
+           hop=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           pool=st.integers(1, 2**32 - 1),
            pad=st.integers(0, 2**32 - 1))
     @example(values=np.zeros((4, 0), np.float32), hop=0.1, pool=6, pad=50)
     def test_roundtrip_bit_exact_any_shape(self, values, hop, pool, pad):
@@ -100,6 +101,26 @@ class TestMatrixFile:
         data[16] = 9  # dtype code field
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        (20, "<d", np.nan, "hop nan s"),
+        (20, "<d", np.inf, "hop inf s"),
+        (20, "<d", -np.inf, "hop -inf s"),
+        (20, "<d", 0.0, "hop 0.0 s"),
+        (20, "<d", -0.0, "hop -0.0 s"),
+        (20, "<d", -0.1, "hop -0.1 s"),
+        (28, "<I", 0, "pool factor 0"),
+    ])
+    def test_corrupted_header_field(self, tmp_path, rng, offset, fmt, value, message):
+        m = FeatureMatrix(values=rng.standard_normal((2, 3)).astype(np.float32),
+                          hop_seconds=0.1, pool_factor=6, kind="net_input")
+        path = tmp_path / "m.mat"
+        save_matrix(m, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, offset, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}"):
             load_matrix(path)
 
     def test_truncated_payload(self, tmp_path, rng):
