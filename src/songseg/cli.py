@@ -200,8 +200,10 @@ def cmd_features(args) -> int:
 
     extract = functools.partial(_extract_one, out_dir=args.out, run=run,
                                 force=args.force)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a forking pool starts all its workers at once: no more than tracks
+    workers = min(args.workers, len(wavs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(extract, wavs))
     else:
         errors = list(map(extract, wavs))

@@ -205,8 +205,7 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
     if fix.any():
         y[fix] = xp.ravel()[_winner_index(arg[fix], kw, (sh, sw), xp.shape,
                                           *np.nonzero(fix))]
-    cache = (arg, kw, (sh, sw), (1, *xp.shape),
-             np.s_[:, :, ph : ph + h, pw : pw + wid])
+    cache = (arg, kw, (sh, sw), np.s_[:, :, ph : ph + h, pw : pw + wid])
     return y[None], (cache if keep_cache else None)
 
 
@@ -261,7 +260,7 @@ def maxpool2d_backward(grad_out, cache):
     pooled value is negative or NaN.  Scaling each pooled gradient before
     routing would round the sum differently.
     """
-    arg, kw, stride, _, crop, *act = cache
+    arg, kw, stride, crop, *act = cache
     c, h_out, w_out = arg.shape
     _, _, rows, cols = crop
     h, w = rows.stop - rows.start, cols.stop - cols.start

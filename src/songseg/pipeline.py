@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -126,19 +127,32 @@ def load_track_input(features_dir, track_id: str, run: RunConfig):
     ``.meta`` sidecar must exist (else :class:`FileNotFoundError`) and carry
     ``run``'s pipeline hash (else :class:`CompatibilityError`), so matrices
     extracted under another configuration are never loaded, and the frame
-    rate and pad are ``run``'s, which that hash binds.  A NaN or
-    infinite value is a :class:`FormatError` naming the matrix file and the
-    value's 0-based row and column.
+    rate and pad are ``run``'s, which that hash binds.  Each matrix header
+    must agree with ``run`` too: its pool factor, pad, row count and, within
+    1e-12 relative, its hop.  A header that does not, or a NaN or infinite
+    value, is a :class:`FormatError` naming the matrix file and the field,
+    or the value's 0-based row and column.
     """
     stored = _read_meta(os.path.join(features_dir, f"{track_id}.meta"))
     if stored.get("pipeline_hash") != run.pipeline_hash():
         raise CompatibilityError(
             f"track {track_id!r}: features in {features_dir} were extracted "
             "under a different pipeline configuration; re-run 'songseg features'")
+    p = run.params
+    hop = p.base_hop_seconds * p.pool_single
     arrays = []
     for name in run.input_names():
         path = os.path.join(features_dir, matrix_filename(track_id, name))
         m = serialize.load_matrix(path)
+        rows = p.n_mels if name == "mls" else sslm_config_for(name, run).lag_bins
+        for field, found, expected in (("pool factor", m.pool_factor, p.pool_single),
+                                       ("pad", m.pad_frames, p.final_pad),
+                                       ("row count", m.n_bins, rows)):
+            if found != expected:
+                raise FormatError(f"{path}: {field} {found}, expected {expected}")
+        # pool2_3 multiplies the hop in two steps, which may round differently
+        if not math.isclose(m.hop_seconds, hop, rel_tol=1e-12):
+            raise FormatError(f"{path}: hop {m.hop_seconds!r} s, expected {hop!r} s")
         values = np.asarray(m.values, dtype=np.float64)
         if not np.isfinite(values).all():
             row, col = np.argwhere(~np.isfinite(values))[0]

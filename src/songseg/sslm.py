@@ -104,6 +104,11 @@ class SslmConfig:
         return (self.params.pool_single if self.pooling == "pool6"
                 else self.params.pool_pre)
 
+    @property
+    def lag_bins(self) -> int:
+        """Rows of this variant's lag matrix: the lag span in pre-pooled frames."""
+        return self.params.lag_frames // self.pool_pre
+
 
 def pad_noise_floor(features: FeatureMatrix, params: PipelineParams,
                     factor: int = 1) -> FeatureMatrix:
@@ -472,7 +477,7 @@ def compute_sslm(audio: AudioBuffer, config: SslmConfig,
         raise ValueError("front end was built for another track or configuration")
     stacked = front.series(config.feature, p_pre)
 
-    lag_bins = p.lag_frames // p_pre
+    lag_bins = config.lag_bins
     d = lag_distances(stacked, lag_bins, config.metric)
     eps = equalize(d, p.quantile)
     # The first lag_bins frames sit inside the noise-floor pad; drop them.

@@ -42,7 +42,6 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    adam: AdamState
     log: list
     best_params: dict
     best_adam: AdamState
@@ -126,8 +125,7 @@ def train(
             best_params = model.copy_params()
             best_adam = copy.deepcopy(adam)
 
-    return TrainResult(adam=adam, log=log,
-                       best_params=best_params, best_adam=best_adam,
+    return TrainResult(log=log, best_params=best_params, best_adam=best_adam,
                        best_epoch=best_epoch)
 
 

@@ -732,7 +732,7 @@ def maxpool2d_per_tap(x, kernel, stride, pad):
             wins |= np.isnan(tap) & ~np.isnan(y)
         y = np.where(wins, tap, y)
         arg = np.where(wins, arg.dtype.type(t), arg)
-    cache = (arg, kw, stride, xp.shape, np.s_[:, :, ph : ph + h, pw : pw + wid])
+    cache = (arg, kw, stride, np.s_[:, :, ph : ph + h, pw : pw + wid])
     return np.ascontiguousarray(y)[None], cache
 
 
@@ -740,9 +740,12 @@ def maxpool2d_backward_padded(grad_out, cache):
     """The former ``layers.maxpool2d_backward``: route into the whole padded
     input with ``bincount``, scale by an activation cache's slope, and crop.
     """
-    arg, kw, stride, xp_shape, crop, *act = cache
+    arg, kw, stride, crop, *act = cache
     c, h_out, w_out = arg.shape
-    _, hp, wp = xp_shape[1:]
+    _, _, rows, cols = crop
+    # the crop keeps the middle of the padded input, padding on both sides
+    hp, wp = rows.start + rows.stop, cols.start + cols.stop
+    xp_shape = (1, c, hp, wp)
     chan = np.arange(c)[:, None, None]
     row = np.arange(h_out)[:, None]
     col = np.arange(w_out)

@@ -4,10 +4,12 @@ import hashlib
 import os
 import shutil
 import struct
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from songseg import cli
 from songseg.cli import _build_parser, main
 from songseg.params import PipelineParams, RunConfig
 
@@ -346,6 +348,31 @@ def test_features_worker_pool(workspace, tmp_path):
     assert rc == 0
     mats = [f for f in os.listdir(tmp_path / "out") if f.endswith(".mat")]
     assert len(mats) == 3
+
+
+@pytest.mark.parametrize("tracks, pools", [(1, []), (3, [3])])
+def test_features_forks_no_more_workers_than_tracks(workspace, tmp_path, monkeypatch,
+                                                    tracks, pools):
+    # a forking pool starts every one of its max_workers processes up front
+    audio, out = tmp_path / "audio", tmp_path / "out"
+    audio.mkdir()
+    names = [f"track{i:03d}" for i in range(tracks)]
+    for name in names:
+        shutil.copy(workspace["data"] / "audio" / f"{name}.wav", audio)
+    started = []
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    assert main(["features", "--config", str(workspace["cfg"]),
+                 "--audio-dir", str(audio), "--out", str(out), "--workers", "8"]) == 0
+    assert started == pools
+    written = sorted(os.listdir(out))
+    assert written == sorted(f"{n}.{ext}" for n in names for ext in ("meta", "mls.mat"))
+    for name in written:
+        assert (out / name).read_bytes() == (workspace["feats"] / name).read_bytes()
 
 
 def test_usage_error_exit_code():

@@ -145,9 +145,11 @@ def _training_digests(run, examples) -> dict:
     net = BoundaryNet(input_height=examples[0].inputs.shape[0], seed=run.seed)
     result = train(net, examples[:4], epochs=2, seed=run.seed,
                    val_set=examples[4:], threshold=run.threshold)
+    # the last epoch is the best, so its snapshot holds the final moments
+    assert result.best_epoch == 2
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "golden.ckpt")
-        save_checkpoint(net, result.adam, path, config_hash=run.pipeline_hash(),
+        save_checkpoint(net, result.best_adam, path, config_hash=run.pipeline_hash(),
                         epoch=2)
         with open(path, "rb") as fh:
             ckpt = hashlib.sha256(fh.read()).hexdigest()

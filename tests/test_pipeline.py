@@ -1,19 +1,17 @@
 import os
-import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from songseg import pipeline, spectral, sslm
-from songseg.annotations import BoundarySet, to_target_curve
 from songseg.audio import write_wav
 from songseg.errors import CompatibilityError, FormatError
 from songseg.params import PipelineParams, RunConfig, SSLM_VARIANTS
 from songseg.pipeline import (PINK_SEEDS, extract_inputs, extract_track_features,
                               load_track_input, matrix_filename, sslm_config_for)
 from songseg.serialize import load_matrix, save_matrix
-from songseg.spectral import FeatureMatrix, max_pool_time, mel_log_spectrogram
+from songseg.spectral import max_pool_time, mel_log_spectrogram
 from songseg.sslm import (FrontEnd, SslmConfig, align_frames, compute_sslm,
                           finalize_input)
 from songseg.synth import synth_corpus
@@ -173,27 +171,50 @@ class TestTrackFeatureFiles:
         assert frame_rate == pytest.approx(44100 / (1024 * 6))
         assert pad == 50
 
-    def test_load_track_input_takes_its_pad_from_the_config(self, corpus):
+    @pytest.mark.parametrize("pooling", ["pool6", "pool2_3"])
+    def test_load_track_input_accepts_every_input(self, corpus, pooling):
+        tmp_path, wav = corpus
+        out = tmp_path / "features"
+        run = RunConfig(pooling=pooling, sslm_inputs=SSLM_VARIANTS)
+        extract_track_features(wav, out, run)
+        stacked, _, pad = load_track_input(out, "track000", run)
+        lag_bins = 100 if pooling == "pool6" else 301
+        assert stacked.shape[0] == 80 + 4 * lag_bins
+        assert pad == run.params.final_pad
+
+    def test_load_track_input_takes_a_hop_pooled_in_two_steps(self, corpus):
+        # at 1000 samples, 44.1 kHz and 3 * 3, pooling twice rounds the hop
+        # differently from pooling once
+        tmp_path, wav = corpus
+        out = tmp_path / "features"
+        params = PipelineParams(hop=1000, pool_single=9, pool_pre=3, pool_post=3)
+        run = RunConfig(params=params, pooling="pool2_3",
+                        sslm_inputs=("mfcc-cosine",))
+        paths = extract_track_features(wav, out, run)
+        hop = params.base_hop_seconds * params.pool_single
+        assert load_matrix(paths[1]).hop_seconds != hop
+        assert load_matrix(paths[1]).hop_seconds == pytest.approx(hop, rel=1e-15)
+        assert load_track_input(out, "track000", run)[0].shape[0] == 80 + 617 // 3
+
+    @pytest.mark.parametrize("index, change, message", [
+        (0, dict(values=np.zeros((81, 1))), "row count 81, expected 80"),
+        (0, dict(pad_frames=49), "pad 49, expected 50"),
+        (1, dict(pool_factor=2), "pool factor 2, expected 6"),
+        (1, dict(values=np.zeros((99, 1))), "row count 99, expected 100"),
+        (1, dict(hop_seconds=1024 / 44100 * 6 * (1 + 1e-11)),
+         f"hop {1024 / 44100 * 6 * (1 + 1e-11)!r} s, expected {1024 / 44100 * 6!r} s"),
+    ], ids=["mls-rows", "pad", "pool-factor", "sslm-rows", "hop"])
+    def test_load_track_input_checks_each_header_against_the_run(
+            self, corpus, index, change, message):
         tmp_path, wav = corpus
         out = tmp_path / "features"
         run = RunConfig(include_mls=True, sslm_inputs=("mfcc-euclidean",))
         paths = extract_track_features(wav, out, run)
-
-        def target():
-            stacked, frame_rate, pad = load_track_input(out, "track000", run)
-            assert pad == run.params.final_pad
-            return to_target_curve(BoundarySet([1.0, 3.5]), stacked.shape[1],
-                                   frame_rate, pad).values
-
-        before = target()
-        with open(paths[-1], "rb") as fh:
-            data = bytearray(fh.read())
-        assert struct.unpack_from("<I", data, 32) == (run.params.final_pad,)
-        struct.pack_into("<I", data, 32, 7)  # the header's pad field
-        with open(paths[-1], "wb") as fh:
-            fh.write(data)
-        assert load_matrix(paths[-1]).pad_frames == 7
-        assert target().tobytes() == before.tobytes()
+        assert load_track_input(out, "track000", run)[0].shape[0] == 180
+        save_matrix(replace(load_matrix(paths[index]), **change), paths[index])
+        with pytest.raises(FormatError) as err:
+            load_track_input(out, "track000", run)
+        assert str(err.value) == f"{paths[index]}: {message}"
 
     def test_missing_matrix_raises(self, corpus):
         tmp_path, wav = corpus
@@ -264,8 +285,8 @@ class TestTrackFeatureFiles:
         out = tmp_path / "features"
         run = RunConfig(include_mls=True, sslm_inputs=("mfcc-euclidean",))
         paths = extract_track_features(wav, out, run)
-        save_matrix(FeatureMatrix(np.zeros((100, 7), dtype=np.float32),
-                                  hop_seconds=0.1, kind="net_input"), paths[1])
+        save_matrix(replace(load_matrix(paths[1]), values=np.zeros((100, 7))),
+                    paths[1])
         with pytest.raises(ValueError, match="disagree"):
             load_track_input(out, "track000", run)
 

@@ -1,5 +1,7 @@
 import builtins
 import hashlib
+import math
+import operator
 import os
 import re
 import struct
@@ -15,9 +17,9 @@ from hypothesis.extra.numpy import arrays
 
 from songseg import annotations as ann
 from songseg.annotations import BoundarySet, TargetCurve
-from songseg.audio import AudioBuffer, write_wav
+from songseg.audio import AudioBuffer, read_wav, write_wav
 from songseg.errors import CompatibilityError, FormatError
-from songseg.model import BoundaryNet
+from songseg.model import BoundaryNet, param_shapes
 from songseg.optim import init_adam
 from songseg.params import SSLM_VARIANTS, PipelineParams, RunConfig
 from songseg import serialize
@@ -175,12 +177,14 @@ class TestCheckpoint:
         ex = TrackExample("t", rng.standard_normal((12, 30)), target,
                           BoundarySet())
         result = train(model, [ex], epochs=1, seed=5)
+        # the one epoch is the best, so its snapshot holds the final moments
+        assert result.best_epoch == 1
         path = tmp_path / "c.ckpt"
-        save_checkpoint(model, result.adam, path, run.pipeline_hash(), epoch=1)
+        save_checkpoint(model, result.best_adam, path, run.pipeline_hash(), epoch=1)
         model2, adam2, epoch, _ = load_checkpoint(path)
         assert epoch == 1
         assert adam2.t == 1
-        _assert_checkpoint_equal(model, result.adam, model2, adam2)
+        _assert_checkpoint_equal(model, result.best_adam, model2, adam2)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), height=st.integers(3, 40),
@@ -275,12 +279,149 @@ class TestCheckpoint:
         assert str(info.value) == (f"{path}: checkpoint tensor {tensor!r} has "
                                    f"shape {(2, *expected)}, expected {expected}")
 
+    @pytest.mark.parametrize("table, tail, message", [
+        (lambda t: [t[1], t[0], *t[2:]], b"",
+         "checkpoint tensor 'conv1.b' where 'conv1.w' belongs"),
+        (lambda t: [*t, t[0]], b"", "checkpoint holds 25 tensors, expected 24"),
+        (lambda t: [t[0], t[0], *t[2:]], b"",
+         "checkpoint tensor 'conv1.w' where 'conv1.b' belongs"),
+        (lambda t: t, b"\0", "checkpoint holds 1 B after its last tensor"),
+    ], ids=["reordered", "extra-tensor", "duplicate-tensor", "trailing-byte"])
+    def test_tensor_table_read_strictly_in_order(self, tmp_path, monkeypatch,
+                                                 table, tail, message):
+        model = BoundaryNet(input_height=12)
+        path = tmp_path / "c.ckpt"
+        written = table(serialize._tensor_table(12))
+        monkeypatch.setattr(serialize, "_tensor_table", lambda height: written)
+        save_checkpoint(model, init_adam(model.params), path,
+                        RunConfig().pipeline_hash(), epoch=1)
+        monkeypatch.undo()
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_hash_of_other_length_rejected(self, tmp_path):
         model = BoundaryNet(input_height=12)
         path = tmp_path / "c.ckpt"
         with pytest.raises(ValueError, match="31 bytes"):
             save_checkpoint(model, init_adam(model.params), path, "ab" * 31, epoch=0)
         assert not path.exists()
+
+
+def _checkpoint_u32_fields(data):
+    """Offsets of a checkpoint's u32 fields: the header's version, epoch,
+    height and tensor count, then each tensor's name length, rank and
+    dimensions."""
+    offsets = [8, 52, _HEIGHT_AT, _COUNT_AT]
+    pos = serialize.CHECKPOINT_HEADER.size
+    while pos < len(data):
+        (length,) = struct.unpack_from("<I", data, pos)
+        offsets.append(pos)
+        pos += 4 + length
+        (ndim,) = struct.unpack_from("<I", data, pos)
+        shape = struct.unpack_from(f"<{ndim}I", data, pos + 4)
+        offsets.extend(pos + 4 * i for i in range(ndim + 1))
+        pos += 4 * (ndim + 1) + 4 * int(np.prod(shape))
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def binary_files(tmp_path_factory):
+    """``kind -> (bytes, offsets of its u32 fields)`` of a small valid matrix,
+    height-3 checkpoint and 16-bit WAV."""
+    tmp = tmp_path_factory.mktemp("binary")
+    save_matrix(FeatureMatrix(np.arange(12, dtype=np.float32).reshape(3, 4),
+                              hop_seconds=0.1, pool_factor=6, pad_frames=1,
+                              kind="net_input"), tmp / "m.mat")
+    model = BoundaryNet(input_height=3)
+    save_checkpoint(model, init_adam(model.params), tmp / "c.ckpt",
+                    RunConfig().pipeline_hash(), epoch=1)
+    write_wav(tmp / "a.wav", AudioBuffer(np.linspace(-0.5, 0.5, 16), 8000))
+    checkpoint = (tmp / "c.ckpt").read_bytes()
+    return {"matrix": ((tmp / "m.mat").read_bytes(), [8, 12, 16, 28, 32]),
+            "checkpoint": (checkpoint, _checkpoint_u32_fields(checkpoint)),
+            "wav": ((tmp / "a.wav").read_bytes(), [4, 16, 24, 28, 40])}
+
+
+def _loaded_is_valid(result):
+    if isinstance(result, FeatureMatrix):
+        return (result.values.shape == (result.n_bins, result.n_frames)
+                and math.isfinite(result.hop_seconds) and result.hop_seconds > 0
+                and result.pool_factor > 0)
+    if isinstance(result, AudioBuffer):
+        return result.samples.ndim == 1 and result.sample_rate > 0
+    model, adam, _, _ = result
+    shapes = param_shapes(model.input_height)
+    return all(store[name].shape == shape for name, shape in shapes.items()
+               for store in (model.params, adam.m, adam.v))
+
+
+# Each binary reader, the file kind it reads, and the errors it may raise.
+_BINARY_READERS = {
+    "load_matrix": (load_matrix, "matrix", (FormatError, OSError)),
+    "load_checkpoint": (load_checkpoint, "checkpoint", (FormatError, OSError)),
+    "load_checkpoint-expected-hash": (
+        lambda path: load_checkpoint(path, expected_hash=RunConfig().pipeline_hash()),
+        "checkpoint", (FormatError, OSError, CompatibilityError)),
+    "read_wav": (read_wav, "wav", (FormatError, OSError)),
+}
+
+
+def _mutations(size, fields):
+    """Lists of byte flips (biased to the u32 fields), u32 fields set to
+    extreme values, truncations and appended bytes."""
+    at = st.one_of(st.integers(0, size - 1),
+                   st.builds(operator.add, st.sampled_from(fields), st.integers(0, 3)))
+    return st.lists(st.one_of(
+        st.tuples(st.just("flip"), at, st.integers(1, 255)),
+        st.tuples(st.just("u32"), st.sampled_from(fields),
+                  st.sampled_from([0, 1, 2**31, 2**32 - 1])),
+        st.tuples(st.just("cut"), st.integers(0, size - 1), st.just(0)),
+        st.tuples(st.just("append"), st.integers(1, 8), st.integers(0, 255)),
+    ), min_size=1, max_size=3)
+
+
+def _mutate(data, mutations):
+    data = bytearray(data)
+    for kind, at, value in mutations:
+        if kind == "flip" and at < len(data):
+            data[at] ^= value
+        elif kind == "u32" and at + 4 <= len(data):
+            struct.pack_into("<I", data, at, value)
+        elif kind == "cut":
+            del data[at:]
+        elif kind == "append":
+            data += bytes([value]) * at
+    return bytes(data)
+
+
+@pytest.mark.parametrize("reader", sorted(_BINARY_READERS))
+def test_mutated_binary_file_loads_or_names_itself(binary_files, tmp_path_factory,
+                                                   reader):
+    read, kind, errors = _BINARY_READERS[reader]
+    data, fields = binary_files[kind]
+    path = tmp_path_factory.mktemp("mutated") / f"f.{kind}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutations=_mutations(len(data), fields))
+    def loads_or_names_itself(mutations):
+        path.write_bytes(_mutate(data, mutations))
+        tracemalloc.reset_peak()
+        try:
+            result = read(path)
+        except errors as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+        else:
+            assert _loaded_is_valid(result)
+        # a valid load peaks near 1 MB; a claimed size is never allocated
+        assert tracemalloc.get_traced_memory()[1] < 8e6
+
+    tracemalloc.start()
+    try:
+        loads_or_names_itself()
+    finally:
+        tracemalloc.stop()
 
 
 class _FailAfterFirstWrite:
