@@ -69,14 +69,14 @@ def _empty(buffers, role, shape):
     return np.empty(shape) if buffers is None else buffers(role, shape)
 
 
-def _pad_into(out, x, pad, fill):
-    """``out`` holding ``x`` inside a frame ``pad`` cells wide of ``fill``."""
+def _pad_into(out, x, pad):
+    """``out`` holding ``x`` inside a frame of zeros ``pad`` cells wide."""
     ph, pw = pad
     h, w = x.shape[-2:]
-    out[..., :ph, :] = fill
-    out[..., ph + h:, :] = fill
-    out[..., ph : ph + h, :pw] = fill
-    out[..., ph : ph + h, pw + w:] = fill
+    out[..., :ph, :] = 0.0
+    out[..., ph + h:, :] = 0.0
+    out[..., ph : ph + h, :pw] = 0.0
+    out[..., ph : ph + h, pw + w:] = 0.0
     out[..., ph : ph + h, pw : pw + w] = x
     return out
 
@@ -107,7 +107,11 @@ def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1),
                    buffers=None):
     """Cross-correlation with zero padding, stride and dilation.
 
-    ``buffers`` supplies the roles ``padded``, ``patches`` and ``out``.
+    ``buffers`` supplies the roles ``padded``, ``patches`` and ``out``.  A
+    single tap that reads the whole padded input, for more than one output
+    map, takes that input as its patch matrix in place, so the cache then
+    holds a view of it (of ``x`` itself when there is no padding), and
+    writing to it before ``backward`` changes the weight gradient.
     """
     x = _check_tensor4(x)
     w = np.asarray(weights, dtype=np.float64)
@@ -123,15 +127,23 @@ def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1),
         raise ValueError("input too small for this kernel/stride/padding")
 
     xp = x if ph == pw == 0 else _pad_into(
-        _empty(buffers, "padded", (1, c, h + 2 * ph, wid + 2 * pw)), x, pad, 0.0)
+        _empty(buffers, "padded", (1, c, h + 2 * ph, wid + 2 * pw)), x, pad)
     taps = _taps(kh, kw, h_out, w_out, stride, dilation)
-    # One tap: column-major, the layout an index gather gives, since BLAS
-    # rounds a matrix-vector product differently for the two layouts.
-    patches = (_empty(buffers, "patches", (c, len(taps), h_out, w_out))
-               if len(taps) > 1 else
-               _empty(buffers, "patches", (1, h_out, w_out, c)).transpose(3, 0, 1, 2))
-    for t, (rows, cols) in enumerate(taps):
-        patches[:, t] = xp[0, :, rows, cols]
+    if len(taps) == 1 and out_ch > 1 and xp.shape[2:] == (h_out, w_out):
+        # BLAS rounds a product with more than one output row alike for
+        # either layout of the patches, so the input serves as they are;
+        # OpenBLAS's small-matrix kernels (up to 10^6 multiply-adds) are
+        # the exception.
+        patches = xp[0, :, None]
+    else:
+        # One tap and one map: column-major, the layout an index gather
+        # gives, since BLAS rounds a matrix-vector product differently for
+        # the two layouts.
+        patches = (_empty(buffers, "patches", (c, len(taps), h_out, w_out))
+                   if len(taps) > 1 else
+                   _empty(buffers, "patches", (1, h_out, w_out, c)).transpose(3, 0, 1, 2))
+        for t, (rows, cols) in enumerate(taps):
+            patches[:, t] = xp[0, :, rows, cols]
     y = np.matmul(w.reshape(out_ch, -1), patches.reshape(-1, h_out * w_out),
                   out=_empty(buffers, "out", (out_ch, h_out * w_out)))
     y += b[:, None]
@@ -167,26 +179,33 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
     (or NaN) in row-major window order wins.
 
     Separable: each padded column's maximum over a window's rows, then the
-    maximum over the window's columns.  Only ``backward`` and a window whose
-    maximum is 0 or NaN need the winning tap; with ``keep_cache`` false it
-    is found only for such windows, and the cache is None.  ``buffers``
-    supplies the roles ``padded``, ``col_max`` and ``out``.
+    maximum over the window's columns.  -inf changes no maximum, so the
+    padding is never written out: each row tap reads ``x`` for the windows
+    whose row it finds there, and a padding column's maxima are -inf.  Only
+    ``backward`` and a window whose maximum is 0 or NaN need the winning
+    tap; with ``keep_cache`` false it is found only for such windows, and
+    the cache is None.  ``buffers`` supplies the roles ``col_max`` and
+    ``out``.
     """
-    x = _check_tensor4(x)
-    _, c, h, wid = x.shape
+    x = _check_tensor4(x)[0]
+    c, h, wid = x.shape
     (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
     h_out = conv_output_size(h, kh, sh, ph, 1)
     w_out = conv_output_size(wid, kw, sw, pw, 1)
     if h_out <= 0 or w_out <= 0:
         raise ValueError("input too small to pool")
 
-    xp = _pad_into(_empty(buffers, "padded", (c, h + 2 * ph, wid + 2 * pw)),
-                   x[0], pad, -np.inf)
-    rows = [xp[:, i : i + sh * (h_out - 1) + 1 : sh] for i in range(kh)]
-    col_max = _empty(buffers, "col_max", rows[0].shape)
-    col_max[...] = rows[0]
-    for r in rows[1:]:
-        np.maximum(col_max, r, out=col_max)
+    rows = [_real_windows(i, sh, ph, h, h_out) for i in range(kh)]
+    col_max = _empty(buffers, "col_max", (c, h_out, wid + 2 * pw))
+    col_max[..., :pw] = -np.inf
+    col_max[..., pw + wid:] = -np.inf
+    inner = col_max[..., pw : pw + wid]
+    (win, src), *rest = rows
+    inner[:, : win.start] = -np.inf
+    inner[:, win.stop :] = -np.inf
+    inner[:, win] = x[:, src]
+    for win, src in rest:
+        np.maximum(inner[:, win], x[:, src], out=inner[:, win])
     cols = [np.s_[:, :, j : j + sw * (w_out - 1) + 1 : sw] for j in range(kw)]
     y = _empty(buffers, "out", (c, h_out, w_out))
     y[...] = col_max[cols[0]]
@@ -201,29 +220,46 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
         fix |= np.isnan(y)
     if not keep_cache and not fix.any():
         return y[None], None
-    arg = _first_max_tap(rows, col_max, cols, y, kh, kw, has_nan)
+    arg = _first_max_tap(x, rows, col_max, pw, cols, y, kw, has_nan)
     if fix.any():
-        y[fix] = xp.ravel()[_winner_index(arg[fix], kw, (sh, sw), xp.shape,
-                                          *np.nonzero(fix))]
+        chan, row, col = np.nonzero(fix)
+        tap = arg[fix]
+        y[fix] = x[chan, sh * row + tap // kw - ph, sw * col + tap % kw - pw]
     cache = (arg, kw, (sh, sw), np.s_[:, :, ph : ph + h, pw : pw + wid])
     return y[None], (cache if keep_cache else None)
 
 
-def _first_max_tap(rows, col_max, cols, y, kh, kw, has_nan):
+def _real_windows(tap, stride, pad, size, n_out):
+    """``(windows, cells)``: the slice of output windows whose ``tap`` reads
+    a cell of the unpadded axis, and the slice of the cells they read."""
+    lo = min(n_out, max(0, -((tap - pad) // stride)))
+    hi = max(lo, min(n_out, (size - 1 + pad - tap) // stride + 1))
+    start = stride * lo + tap - pad
+    return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+
+
+def _first_max_tap(x, rows, col_max, pw, cols, y, kw, has_nan):
     """Each window's winning tap ``row * kw + column``.
 
     The first row holding a column's maximum is the number of leading rows
-    that miss it; the winner is the least such tap over the columns that
-    hold the window's maximum, and a column that misses it is pushed past
-    every tap.
+    that miss it, a padding row holding only -inf, and is 0 in a padding
+    column; the winner is the least such tap over the columns that hold the
+    window's maximum, and a column that misses it is pushed past every tap.
     """
+    kh = len(rows)
     dtype = np.min_scalar_type(2 * kh * kw)
-    missed = _misses(rows[0], col_max, has_nan)
-    first_row = missed.astype(dtype)
-    for r in rows[1:-1]:
-        missed &= _misses(r, col_max, has_nan)
-        first_row += missed
-    first_tap = first_row * dtype.type(kw)
+    real = np.s_[..., pw : col_max.shape[-1] - pw]
+    inner = col_max[real]
+    first_tap = np.zeros(col_max.shape, dtype)
+    missed = np.ones(inner.shape, dtype=bool)
+    row_missed = np.empty(inner.shape, dtype=bool)
+    for win, src in rows[:-1]:
+        for part in (np.s_[:, : win.start], np.s_[:, win.stop :]):
+            np.not_equal(inner[part], -np.inf, out=row_missed[part])
+        _misses(x[:, src], inner[:, win], has_nan, out=row_missed[:, win])
+        missed &= row_missed
+        first_tap[real] += missed
+    first_tap *= dtype.type(kw)
     arg = None
     for j, cs in enumerate(cols):
         key = first_tap[cs] + dtype.type(j)
@@ -232,21 +268,13 @@ def _first_max_tap(rows, col_max, cols, y, kh, kw, has_nan):
     return arg
 
 
-def _misses(values, maximum, has_nan):
+def _misses(values, maximum, has_nan, out=None):
     """Where ``values`` does not hold ``maximum``: differs from it, and is
     not a NaN standing for a NaN maximum."""
-    missed = values != maximum
+    missed = np.not_equal(values, maximum, out=out)
     if has_nan:
         missed &= ~np.isnan(values)
     return missed
-
-
-def _winner_index(arg, kw, stride, padded_shape, chan, row, col):
-    """Flat index into the ``(C, H, W)`` padded input of the winning tap
-    ``arg`` of output windows ``(chan, row, col)``."""
-    _, hp, wp = padded_shape
-    return ((chan * hp + stride[0] * row + arg // kw) * wp
-            + stride[1] * col + arg % kw)
 
 
 def maxpool2d_backward(grad_out, cache):

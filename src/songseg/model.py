@@ -62,20 +62,25 @@ class BoundaryNet:
     """Boundary detector for inputs of a fixed height.
 
     Parameters are stored as float32 (what checkpoints carry); all forward
-    and backward arithmetic happens in float64.  The large temporaries of
-    conv1-conv3 and the pool live in a workspace the model keeps between
-    calls, grown to the widest input seen, so one model must not run two
-    forwards at once.
+    and backward arithmetic happens in float64.  They are He-uniform weights
+    drawn from ``seed`` and zero biases, or copies of ``params``, checked as
+    :meth:`load_params` checks them.  The large temporaries of conv1-conv3
+    and the pool live in a workspace the model keeps between calls, grown to
+    the widest input seen, so one model must not run two forwards at once.
     """
 
-    def __init__(self, input_height: int, seed: int = 0):
+    def __init__(self, input_height: int, seed: int = 0, params: dict = None):
         self.input_height = int(input_height)
-        rng = np.random.default_rng(seed)
-        self.params = {
-            name: _he_uniform(rng, shape) if name.endswith(".w")
-            else np.zeros(shape, dtype=np.float32)
-            for name, shape in param_shapes(self.input_height).items()
-        }
+        if params is None:
+            rng = np.random.default_rng(seed)
+            self.params = {
+                name: _he_uniform(rng, shape) if name.endswith(".w")
+                else np.zeros(shape, dtype=np.float32)
+                for name, shape in param_shapes(self.input_height).items()
+            }
+        else:
+            self.params = {}
+            self.load_params(params)
         self.workspace = layers.Workspace()
         self._generation = 0  # forwards run; caches record theirs
 
@@ -93,16 +98,13 @@ class BoundaryNet:
         return x
 
     def _front_size(self, width: int) -> int:
-        """Elements of conv2's patch buffer at ``width``: its patch matrix,
-        or, if larger, conv1's patches and output and the pool's padded
-        input laid end to end (conv1 keeps the input's size)."""
-        h, maps = self.input_height, CONV1["maps"]
-        ph, pw = POOL["pad"]
-        pooled = layers.conv_output_size(h, POOL["kernel"][0], POOL["stride"][0],
-                                         ph, 1)
-        conv2 = maps * math.prod(CONV2["kernel"]) * pooled * width
-        conv1 = (math.prod(CONV1["kernel"]) + maps) * h * width
-        return max(conv2, conv1 + maps * (h + 2 * ph) * (width + 2 * pw))
+        """Elements of conv2's patch matrix at ``width`` (conv1 and conv2
+        keep the width).  conv1's patches and output, laid end to end, fit
+        in it for every height of 3 or more: 67·h·W against 480·W per
+        pooled row, tightest at h = 7 (469·W against 480·W)."""
+        pooled = layers.conv_output_size(self.input_height, POOL["kernel"][0],
+                                         POOL["stride"][0], POOL["pad"][0], 1)
+        return CONV1["maps"] * math.prod(CONV2["kernel"]) * pooled * width
 
     def forward_with_cache(self, x, keep_cache=True):
         """Logits and the per-layer caches ``backward`` reads.
@@ -125,17 +127,16 @@ class BoundaryNet:
         ws = self.workspace
         self._generation += 1
         caches = {"generation": self._generation}
-        # conv1's output and the pool's padded input are dead once the pool
-        # returns, and so are conv1's patches when backward will not read
-        # them: they lie end to end in conv2's patch buffer, which conv2's
-        # im2col then overwrites from its start.  Without caches, each
-        # activation's scaled copy goes at its start too.  The buffer is
-        # sized for both modes, so that neither grows it for the other.
+        # conv1's output is dead once the pool returns, and so are conv1's
+        # patches when backward will not read them: they lie end to end in
+        # conv2's patch buffer, which conv2's im2col then overwrites from
+        # its start.  Without caches, each activation's scaled copy goes at
+        # its start too.  conv3 reads conv2's output buffer in place, and
+        # nothing writes that buffer before backward.
         front = ws.flat("conv2.patches", self._front_size(x.shape[3]))
         region = layers.Region(front)
         conv1 = ws.buffers("conv1", region,
                            ("out",) if keep_cache else ("patches", "out"))
-        pool = ws.buffers("pool", region, ("padded",))
 
         def act(role, shape):
             return front[: math.prod(shape)].reshape(shape)
@@ -144,7 +145,7 @@ class BoundaryNet:
             CONV1["dilation"], buffers=conv1)
         h, caches["pool"] = layers.maxpool2d_forward(
             h, POOL["kernel"], POOL["stride"], POOL["pad"],
-            buffers=pool, keep_cache=keep_cache)
+            buffers=ws.buffers("pool"), keep_cache=keep_cache)
         h, caches["act1"] = layers.leaky_relu_forward(
             h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache, buffers=act)
         h, caches["conv2"] = layers.conv2d_forward(
@@ -200,12 +201,12 @@ class BoundaryNet:
         return {k: v.copy() for k, v in self.params.items()}
 
     def load_params(self, params: dict) -> None:
-        for name in PARAM_NAMES:
+        for name, shape in param_shapes(self.input_height).items():
             if name not in params:
                 raise ValueError(f"missing parameter {name}")
-            if params[name].shape != self.params[name].shape:
+            if params[name].shape != shape:
                 raise ValueError(
                     f"parameter {name} has shape {params[name].shape}, "
-                    f"expected {self.params[name].shape}"
+                    f"expected {shape}"
                 )
             self.params[name] = params[name].astype(np.float32, copy=True)

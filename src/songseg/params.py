@@ -33,6 +33,9 @@ POOLINGS = ("pool6", "pool2_3")
 # spectrogram alone.
 DEFAULT_MLS_THRESHOLD = 0.205
 
+# Highest noise floor whose amplitude 10 ** (floor_db / 20) is a double.
+FLOOR_DB_MAX = 20 * 308.0
+
 
 @dataclass(frozen=True)
 class PipelineParams:
@@ -129,8 +132,8 @@ class RunConfig:
         p = self.params
         # Checked for a run rather than in PipelineParams: the padding
         # kernels are also tested on an infinite floor and at sr = hop = 1.
-        if not math.isfinite(p.floor_db):
-            raise ValueError("floor_db must be finite")
+        if not (math.isfinite(p.floor_db) and p.floor_db <= FLOOR_DB_MAX):
+            raise ValueError(f"floor_db must be finite and at most {FLOOR_DB_MAX:g} dB")
         if not 0.0 <= p.fmin < p.fmax:
             raise ValueError("fmin must lie in [0, fmax)")
         if not p.fmax <= p.sr / 2:
@@ -138,11 +141,12 @@ class RunConfig:
         if p.hop > p.window:
             raise ValueError("hop must not exceed window")
         min_frames = max(p.pool_single, p.pool_pre)
-        if not (math.isfinite(p.lag_seconds) and p.lag_frames >= min_frames):
+        span = p.lag_seconds * p.sr / p.hop  # lag_frames before rounding
+        if not (math.isfinite(span) and round(span) >= min_frames):
             raise ValueError(
                 f"lag_seconds must be finite and span at least one lag bin under "
                 f"both poolings ({min_frames} frames of {p.hop} samples at "
-                f"{p.sr} Hz)")
+                f"{p.sr} Hz) and a finite number of frames")
         # Canonical order, so configurations that select the same inputs
         # compare equal and survive a to_file/from_file round trip.
         object.__setattr__(self, "sslm_inputs", tuple(

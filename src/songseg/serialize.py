@@ -156,7 +156,8 @@ def save_checkpoint(model: BoundaryNet, adam: AdamState, path,
 
 
 def _read_tensors(data, table, path) -> dict:
-    """The tensors of ``table`` after the header, in its order and shapes."""
+    """The tensors of ``table`` after the header, in its order and shapes, as
+    read-only views into ``data``."""
     pos = CHECKPOINT_HEADER.size
 
     def take(n):
@@ -182,7 +183,7 @@ def _read_tensors(data, table, path) -> dict:
         if shape != expected:
             raise FormatError(f"{path}: checkpoint tensor {name!r} has shape "
                               f"{shape}, expected {expected}")
-        tensors[name] = np.frombuffer(payload, "<f4").reshape(shape).copy()
+        tensors[name] = np.frombuffer(payload, "<f4").reshape(shape)
     if pos != len(data):
         raise FormatError(f"{path}: checkpoint holds {len(data) - pos} B after "
                           "its last tensor")
@@ -218,17 +219,15 @@ def load_checkpoint(path, expected_hash: str = None):
         raise FormatError(f"{path}: checkpoint holds {count} tensors, "
                           f"expected {len(table)}")
     tensors = _read_tensors(data, table, path)
-    del data  # free the file's bytes before the model draws its weights
     stored_hash = digest.hex()
     if expected_hash is not None and stored_hash != expected_hash:
         raise CompatibilityError(
             f"{path}: checkpoint pipeline hash {stored_hash[:12]}... does not "
             f"match expected {expected_hash[:12]}..."
         )
-    model = BoundaryNet(input_height=input_height)
-    model.load_params(tensors)
+    model = BoundaryNet(input_height, params=tensors)
     adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=adam_t)
     for name in PARAM_NAMES:
-        adam.m[name] = tensors[f"adam.m/{name}"]
-        adam.v[name] = tensors[f"adam.v/{name}"]
+        adam.m[name] = tensors[f"adam.m/{name}"].copy()
+        adam.v[name] = tensors[f"adam.v/{name}"].copy()
     return model, adam, epoch, stored_hash

@@ -134,3 +134,51 @@ def test_verdicts_per_workload_and_bounded_metric(tmp_path):
         "dominant": {"extract_audio_s_per_s": "ok", "train_epoch_s": "ok"},
         "change-only": {},
     }
+
+
+def test_gains_follow_the_claim_rule(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # The parent's epochs take 1.00-1.09 s: quartiles 1.0225 and 1.0675, an
+    # interquartile range of 0.045 s around a median of 1.045 s.
+    epochs = [1.00 + 0.01 * i for i in range(10)]
+    cases = {
+        # 10/10 wins, medians 0.10 s apart
+        "gain": [e - 0.10 for e in epochs],
+        # 8/10 wins
+        "mostly": [e - 0.10 if i < 8 else e + 0.01 for i, e in enumerate(epochs)],
+        # 10/10 wins, medians 0.02 s apart: inside the parent's spread
+        "close": [e - 0.02 for e in epochs],
+        # 8 wins and 2 ties: a tie is no win
+        "ties": [e - 0.10 if i < 8 else e for i, e in enumerate(epochs)],
+    }
+    for workload, change_epochs in cases.items():
+        for seed, (p_epoch, c_epoch) in enumerate(zip(epochs, change_epochs)):
+            # equal rates: every pair a tie, so no gain in either direction
+            _record(parent, workload, seed, 0, 300.0, train_epoch_s=p_epoch)
+            _record(change, workload, seed, 0, 300.0, train_epoch_s=c_epoch)
+    _record(change, "change-only", 1, 0, 700.0)
+    _benchmark(change)
+    out = tmp_path / "bench.json"
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["ties"]["pairs"]["change_wins"]["train_epoch_s"] == 8
+    got = {workload: v["gains"] for workload, v in result.items()}
+    assert got == {
+        "gain": {"extract_audio_s_per_s": False, "train_epoch_s": True},
+        "mostly": {"extract_audio_s_per_s": False, "train_epoch_s": False},
+        "close": {"extract_audio_s_per_s": False, "train_epoch_s": False},
+        "ties": {"extract_audio_s_per_s": False, "train_epoch_s": False},
+        "change-only": {},
+    }
+
+
+def test_gain_in_the_higher_direction(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        _record(parent, "extract-pool6", seed, 0, 300.0 + seed)
+        _record(change, "extract-pool6", seed, 0, 330.0 + seed)
+    _benchmark(change)
+    out = tmp_path / "bench.json"
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["extract-pool6"]["gains"] == {
+        "extract_audio_s_per_s": True}

@@ -1,9 +1,15 @@
 """End-to-end exercises of the command-line surface on a tiny corpus."""
 
+import contextlib
 import hashlib
 import os
+import re
 import shutil
+import signal
 import struct
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -11,7 +17,9 @@ import pytest
 
 from songseg import cli
 from songseg.cli import _build_parser, main
-from songseg.params import PipelineParams, RunConfig
+from songseg.params import SSLM_VARIANTS, PipelineParams, RunConfig
+from songseg.pipeline import _read_meta
+from songseg.serialize import load_matrix
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +347,76 @@ def test_features_partial_failure(workspace, tmp_path, capsys):
     assert rc == 1  # the batch continues but reports the failure
     assert "broken.wav" in capsys.readouterr().err
     assert (tmp_path / "out" / "good.mls.mat").exists()
+
+
+# Fractions of a clean run's wall time, start-up included, at which a
+# `features` run is killed.  Where in the run a kill lands varies with the
+# host's load; the checks hold wherever it does.
+_KILL_AT = (0.45, 0.55, 0.65, 0.75, 0.85)
+# What atomic_write leaves when killed between open and rename.
+_TMP_FILE = re.compile(r"\.\d+\.tmp$")
+
+
+def _features_process(cfg, audio, out):
+    """`songseg features --workers 1` in a process group of its own."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.Popen(
+        [sys.executable, "-m", "songseg.cli", "features", "--config", str(cfg),
+         "--audio-dir", str(audio), "--out", str(out), "--workers", "1"],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+
+
+def _kept_files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()
+            if not _TMP_FILE.search(p.name)}
+
+
+def test_killed_features_leave_loadable_files_and_rerun_identically(workspace,
+                                                                    tmp_path):
+    audio, cfg = tmp_path / "audio", tmp_path / "run.cfg"
+    audio.mkdir()
+    tracks = ["track000", "track001"]
+    for track in tracks:
+        shutil.copy(workspace["data"] / "audio" / f"{track}.wav", audio)
+    run = RunConfig(sslm_inputs=SSLM_VARIANTS)
+    run.to_file(cfg)
+    targets = {f"{t}.{name}.mat" for t in tracks for name in run.input_names()}
+    targets |= {f"{t}.meta" for t in tracks}
+
+    start = time.monotonic()
+    clean = _features_process(cfg, audio, tmp_path / "clean")
+    assert clean.wait(timeout=120) == 0
+    wall = time.monotonic() - start
+    want = _kept_files(tmp_path / "clean")
+    assert sorted(want) == sorted(targets)
+
+    for i, fraction in enumerate(_KILL_AT):
+        out = tmp_path / f"killed{i}"
+        proc = _features_process(cfg, audio, out)
+        time.sleep(fraction * wall)
+        with contextlib.suppress(ProcessLookupError):  # it may have finished
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no process of the group is left
+        for path in out.iterdir() if out.exists() else ():
+            if _TMP_FILE.search(path.name):
+                continue
+            assert path.name in targets
+            if path.suffix == ".mat":
+                load_matrix(path)
+            else:
+                # the sidecar is written last, after every matrix it vouches for
+                assert _read_meta(path)["inputs"] == ",".join(run.input_names())
+                track = path.name[: -len(".meta")]
+                assert all((out / f"{track}.{name}.mat").exists()
+                           for name in run.input_names())
+        assert main(["features", "--config", str(cfg), "--audio-dir", str(audio),
+                     "--out", str(out), "--workers", "1"]) == 0
+        assert _kept_files(out) == want
 
 
 def test_features_worker_pool(workspace, tmp_path):

@@ -270,6 +270,20 @@ class TestBitIdenticalToGatherScatter:
         _assert_conv_matches_gather(x, w, b, spec["stride"], spec["pad"],
                                     spec["dilation"], grad_seed=1)
 
+    @pytest.mark.parametrize("maps, stride, pad, in_place", [
+        (4, (1, 1), (0, 0), True),  # conv3: the input is the patch matrix
+        (1, (1, 1), (0, 0), False),  # conv4: a matrix-vector product
+        (4, (1, 1), (1, 2), False),  # the padded copy is the patch matrix
+        (4, (2, 3), (0, 0), False),
+    ])
+    def test_single_tap_convolutions(self, rng, maps, stride, pad, in_place):
+        x = rng.standard_normal((1, 3, 7, 11))
+        w = rng.standard_normal((maps, 3, 1, 1))
+        b = rng.standard_normal(maps)
+        _assert_conv_matches_gather(x, w, b, stride, pad, (1, 1), grad_seed=3)
+        _, cache = layers.conv2d_forward(x, w, b, stride, pad)
+        assert np.shares_memory(cache[0], x) == in_place
+
     def test_model_pool_on_rectified_input(self, rng):
         # leaky-ReLU output of a zero-padded convolution: plateaus of zeros
         x = np.maximum(rng.standard_normal((1, 32, 20, 33)), 0.0)

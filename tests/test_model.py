@@ -46,6 +46,29 @@ class TestArchitecture:
         net = BoundaryNet(input_height=80)
         assert all(v.dtype == np.float32 for v in net.params.values())
 
+    @pytest.mark.parametrize("height", [3, 80])
+    def test_model_from_given_params_draws_nothing(self, height, monkeypatch):
+        source = BoundaryNet(input_height=height, seed=3)
+        given_params = {n: p.astype(np.float64) for n, p in source.params.items()}
+        monkeypatch.setattr("songseg.model._he_uniform", _no_draw)
+        net = BoundaryNet(height, params=given_params)
+        assert list(net.params) == list(PARAM_NAMES)
+        for name, p in net.params.items():
+            assert p.dtype == np.float32 and not np.shares_memory(p, given_params[name])
+            assert p.tobytes() == source.params[name].tobytes()
+
+    def test_model_from_given_params_checks_them(self):
+        params = BoundaryNet(input_height=12).params
+        with pytest.raises(ValueError, match=r"conv3.w has shape \(128, 128, 1, 1\), "
+                                             r"expected \(128, 64, 1, 1\)"):
+            BoundaryNet(7, params=params)
+        with pytest.raises(ValueError, match="missing parameter conv4.b"):
+            BoundaryNet(12, params={n: p for n, p in params.items() if n != "conv4.b"})
+
+
+def _no_draw(*args):
+    raise AssertionError("weights were drawn")
+
 
 class TestForward:
     def test_output_length_equals_frames(self, rng):
@@ -238,10 +261,13 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 69.5 MiB here, 67.5 of it the workspace; with a buffer for each of
-        # conv1's patches and output and the pool's padded input it was
-        # 114.4 MiB
-        assert peak < 72 * 2**20
+        # 61.9 MiB here, 59.9 of it the workspace in 7 buffers; with a padded
+        # copy of the pool's input and conv3's own patch matrix it was
+        # 69.5 MiB, and with a buffer for each of conv1's patches and output
+        # as well 114.4 MiB
+        assert peak < 64 * 2**20
+        buffers = net.workspace._flat.values()
+        assert len(buffers) == 7 and sum(b.nbytes for b in buffers) <= 60 * 2**20
 
     def test_fresh_training_step_peak(self, rng):
         net = BoundaryNet(input_height=80, seed=5)
@@ -253,9 +279,19 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 82.3 MiB here; with buffers of their own for conv1's output and
-        # the pool's padded input it was 96.2 MiB
-        assert peak < 86 * 2**20
+        # 78.4 MiB here; with a padded copy of the pool's input and conv3's
+        # own patch matrix it was 82.3 MiB, and with a buffer of its own for
+        # conv1's output as well 96.2 MiB
+        assert peak < 81 * 2**20
+
+    def test_conv3_reads_its_input_in_place(self, rng):
+        net = BoundaryNet(input_height=80, seed=5)
+        _, caches = net.forward_with_cache(rng.standard_normal((80, 40)))
+        ws = net.workspace
+        # conv3's input is conv2's activated output, folded; conv4's one map
+        # takes a column-major copy of conv3's output
+        assert np.shares_memory(caches["conv3"][0], ws.flat("conv2.out", 0))
+        assert not np.shares_memory(caches["conv4"][0], ws.flat("conv3.out", 0))
 
     def test_outputs_survive_later_forwards(self, rng):
         net = BoundaryNet(input_height=80, seed=6)

@@ -3,10 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from songseg import pipeline, spectral, sslm
+from songseg.annotations import BoundarySet, TargetCurve
 from songseg.audio import write_wav
 from songseg.errors import CompatibilityError, FormatError
+from songseg.model import BoundaryNet
 from songseg.params import PipelineParams, RunConfig, SSLM_VARIANTS
 from songseg.pipeline import (PINK_SEEDS, extract_inputs, extract_track_features,
                               load_track_input, matrix_filename, sslm_config_for)
@@ -15,6 +19,7 @@ from songseg.spectral import max_pool_time, mel_log_spectrogram
 from songseg.sslm import (FrontEnd, SslmConfig, align_frames, compute_sslm,
                           finalize_input)
 from songseg.synth import synth_corpus
+from songseg.training import TrackExample, train
 
 from conftest import random_audio
 
@@ -307,3 +312,50 @@ class TestTrackFeatureFiles:
 
 def test_matrix_filename():
     assert matrix_filename("track007", "mfcc-cosine") == "track007.mfcc-cosine.mat"
+
+
+# Edge values for the config-domain property: each key gets every one of
+# them as its file text.
+_EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-308")
+_CONFIG_KEYS = [line.split(" = ")[0] for line in RunConfig().canonical_lines()]
+# All four lag matrices, so the SSLM-only keys shape what is extracted.
+_ALL_SSLMS = {"sslm_inputs": ",".join(SSLM_VARIANTS)}
+
+
+def _short_examples(height):
+    rng = np.random.default_rng(0)
+    return [TrackExample(name, rng.standard_normal((height, width)),
+                         TargetCurve(values=np.linspace(0.0, 1.0, width),
+                                     frame_rate=7.177734375, pad_frames=5),
+                         BoundarySet([1.0]))
+            for name, width in (("a", 24), ("b", 31))]
+
+
+@pytest.mark.parametrize("key", _CONFIG_KEYS)
+@settings(max_examples=2 * len(_EDGE_VALUES), deadline=None)
+@given(value=st.sampled_from(_EDGE_VALUES))
+def test_config_edge_value_is_rejected_by_name_or_runs(key, value):
+    try:
+        run = RunConfig.from_mapping({**_ALL_SSLMS, key: value})
+    except FormatError as exc:
+        assert f"{key} = {value!r}" in str(exc)
+        return
+    audio = random_audio(7, 3.0, sr=run.params.sr)
+    p = run.params
+    n_raw = (audio.samples.size - p.window) // p.hop + 1
+    pooled = -(-n_raw // p.pool_single)
+    mats = extract_inputs(audio, run)
+    assert list(mats) == run.input_names()
+    (frames,) = {m.n_frames for m in mats.values()}
+    # the lag matrices' pooling may end a frame or two before the mel's
+    assert pooled - 2 <= frames - 2 * p.final_pad <= pooled
+    for name, m in mats.items():
+        rows = p.n_mels if name == "mls" else sslm_config_for(name, run).lag_bins
+        assert m.values.shape == (rows, frames)
+        assert np.isfinite(m.values).all()
+    if key in ("epochs", "seed", "threshold"):
+        epochs = run.epochs if key == "epochs" else 1
+        net = BoundaryNet(p.n_mels, seed=run.seed)
+        result = train(net, _short_examples(p.n_mels), epochs=epochs, seed=run.seed,
+                       threshold=run.threshold)
+        assert len(result.log) == epochs

@@ -186,6 +186,21 @@ class TestCheckpoint:
         assert adam2.t == 1
         _assert_checkpoint_equal(model, result.best_adam, model2, adam2)
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        model = BoundaryNet(input_height=80, seed=6)
+        adam = init_adam(model.params)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(model, adam, path, RunConfig().pipeline_hash(), epoch=2)
+
+        def draw(*args):
+            raise AssertionError("load_checkpoint drew weights")
+        monkeypatch.setattr("songseg.model._he_uniform", draw)
+        model2, adam2, _, _ = load_checkpoint(path)
+        _assert_checkpoint_equal(model, adam, model2, adam2)
+        # copies, not views of the file's bytes
+        assert all(a.flags.writeable for a in (*model2.params.values(),
+                                               *adam2.m.values(), *adam2.v.values()))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), height=st.integers(3, 40),
            t=st.integers(0, 2**64 - 1), epoch=st.integers(0, 2**32 - 1),

@@ -7,8 +7,9 @@ every end-to-end metric per workload and side, with the seeds, git revision
 and whether every run was correct.  Runs of the two sides that share a
 workload and seed are pairs; for each metric it counts the pairs the change
 wins, in the direction the change checkout's ``BENCHMARK.json`` calls
-better (a tie is no win).  Each metric that ``BENCHMARK.json`` gives a
-bound gets a no-regression verdict per workload (see ``verdicts``):
+better (a tie is no win), and whether the change may claim a gain on it
+(see ``gains``).  Each metric that ``BENCHMARK.json`` gives a bound gets a
+no-regression verdict per workload (see ``verdicts``):
 
     python3 tools/bench_json.py PARENT_CHECKOUT CHANGE_CHECKOUT --out BENCH_<n>.json
 
@@ -50,19 +51,56 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
+def _pairs(parent: list, change: list) -> dict:
+    """Seed -> the metrics of the parent's and the change's run of it."""
+    parent_by_seed = {r["env"]["seed"]: r["metrics"] for r in parent}
+    return {r["env"]["seed"]: (parent_by_seed[r["env"]["seed"]], r["metrics"])
+            for r in change if r["env"]["seed"] in parent_by_seed}
+
+
+def _sign(spec: dict) -> int:
+    """1 where higher is better, -1 where lower is: signed values compare
+    the better one as the larger."""
+    return 1 if spec["better"] == "higher" else -1
+
+
+def _won(pairs: dict, name: str, sign: int) -> list:
+    """Per pair holding ``name``, whether the change wins it (a tie is no win)."""
+    return [sign * (c[name]["value"] - p[name]["value"]) > 0
+            for p, c in pairs.values() if name in p and name in c]
+
+
 def pair_wins(parent: list, change: list, metrics: dict) -> dict:
     """Seeds both sides ran and, per metric, the pairs the change wins."""
-    parent_by_seed = {r["env"]["seed"]: r["metrics"] for r in parent}
-    pairs = {r["env"]["seed"]: (parent_by_seed[r["env"]["seed"]], r["metrics"])
-             for r in change if r["env"]["seed"] in parent_by_seed}
+    pairs = _pairs(parent, change)
     wins = {}
     for name, spec in metrics.items():
-        sign = 1 if spec["better"] == "higher" else -1
-        shared = [(p[name]["value"], c[name]["value"]) for p, c in pairs.values()
-                  if name in p and name in c]
-        if shared:
-            wins[name] = sum(sign * (c - p) > 0 for p, c in shared)
+        won = _won(pairs, name, _sign(spec))
+        if won:
+            wins[name] = sum(won)
     return {"seeds": sorted(pairs), "change_wins": wins}
+
+
+def gains(parent: list, change: list, metrics: dict) -> dict:
+    """Per metric with pairs, whether the change may claim a gain on it.
+
+    It may when it wins at least nine tenths of the pairs, a tie counting
+    for neither side, and its median is better than the parent's by more
+    than the parent's interquartile range.
+    """
+    pairs = _pairs(parent, change)
+    result = {}
+    for name, spec in metrics.items():
+        sign = _sign(spec)
+        won = _won(pairs, name, sign)
+        if not won:
+            continue
+        p, c = ([sign * r["metrics"][name]["value"] for r in runs if name in r["metrics"]]
+                for runs in (parent, change))
+        q1, q3 = quartiles(p)
+        result[name] = (10 * sum(won) >= 9 * len(won)
+                        and statistics.median(c) - statistics.median(p) > q3 - q1)
+    return result
 
 
 def verdicts(parent: list, change: list, metrics: dict) -> dict:
@@ -80,7 +118,7 @@ def verdicts(parent: list, change: list, metrics: dict) -> dict:
                   for runs in (parent, change)]
         if "bound" not in spec or not all(values):
             continue
-        sign = 1 if spec["better"] == "higher" else -1
+        sign = _sign(spec)
         p, c = ([sign * v for v in side] for side in values)
         allowed = spec["bound"] * abs(statistics.median(p))
         q1, q3 = quartiles(p)
@@ -138,6 +176,7 @@ def main(argv=None) -> int:
         result[workload] = {side: summarize(sides[side]) if sides[side] else None
                             for side in SIDES}
         result[workload]["pairs"] = pair_wins(sides["parent"], sides["change"], metrics)
+        result[workload]["gains"] = gains(sides["parent"], sides["change"], metrics)
         result[workload]["verdicts"] = verdicts(sides["parent"], sides["change"], metrics)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
