@@ -180,9 +180,10 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
 
     Separable: each padded column's maximum over a window's rows, then the
     maximum over the window's columns.  -inf changes no maximum, so the
-    padding is never written out: each row tap reads ``x`` for the windows
-    whose row it finds there, and a padding column's maxima are -inf.  Only
-    ``backward`` and a window whose maximum is 0 or NaN need the winning
+    padding is never written out: a window's column maxima come from its
+    rows inside ``x``, and a padding column's are -inf.  The order of the
+    maxima matters only for zeros and NaNs, whose values are taken from the
+    winning position.  Only ``backward`` and such a window need the winning
     tap; with ``keep_cache`` false it is found only for such windows, and
     the cache is None.  ``buffers`` supplies the roles ``col_max`` and
     ``out``.
@@ -200,12 +201,16 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
     col_max[..., :pw] = -np.inf
     col_max[..., pw + wid:] = -np.inf
     inner = col_max[..., pw : pw + wid]
-    (win, src), *rest = rows
-    inner[:, : win.start] = -np.inf
-    inner[:, win.stop :] = -np.inf
-    inner[:, win] = x[:, src]
-    for win, src in rest:
-        np.maximum(inner[:, win], x[:, src], out=inner[:, win])
+    # Windows whose rows all lie in x reduce one strided view of them; the
+    # few that reach into the padding reduce their rows in x one by one.
+    lo, hi = rows[0][0].start, max(rows[0][0].start, rows[-1][0].stop)
+    s0, s1, s2 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x[:, sh * lo - ph :], (c, hi - lo, kh, wid), (s0, sh * s1, s1, s2))
+    np.maximum.reduce(windows, axis=2, out=inner[:, lo:hi])
+    for o in (*range(lo), *range(hi, h_out)):
+        first, last = max(0, sh * o - ph), min(h, sh * o - ph + kh)
+        inner[:, o] = x[:, first:last].max(axis=1) if first < last else -np.inf
     cols = [np.s_[:, :, j : j + sw * (w_out - 1) + 1 : sw] for j in range(kw)]
     y = _empty(buffers, "out", (c, h_out, w_out))
     y[...] = col_max[cols[0]]
