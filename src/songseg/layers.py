@@ -6,16 +6,15 @@ rule.  Tensors are ``(batch=1, channels, height, width)`` arrays; all
 arithmetic runs in float64 regardless of input dtype so finite-difference
 checks stay meaningful.
 
-The convolution, the pool and the cache-free LeakyReLU take an optional
-``buffers(role, shape)`` callable, such as :meth:`Workspace.buffers`, that
-supplies their large temporaries in place of fresh arrays.  Their output
-and cache then live in those buffers, and are overwritten when the buffers
-are handed out again.
+The convolution and the pool pad by index and never write their padding.
+They and the cache-free LeakyReLU take an optional ``buffers(role, shape)``
+callable, such as :meth:`Workspace.buffers`, that supplies their large
+temporaries in place of fresh arrays.  Their output and cache then live in
+those buffers, and are overwritten when the buffers are handed out again.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -32,10 +31,21 @@ class Workspace:
     def __init__(self):
         self._flat = {}
 
-    def buffers(self, layer: str, region=None, roles=()):
-        """The ``buffers(role, shape)`` callable for one layer's roles; those
-        named in ``roles`` come from ``region``, a :class:`Region`, instead."""
-        return functools.partial(self._take, layer, region, roles)
+    def buffers(self, layer: str, shared=None, roles=()):
+        """The ``buffers(role, shape)`` callable for one layer's roles.  Those
+        named in ``roles``, all dead before the owner of the flat array
+        ``shared`` writes it, lie end to end from its start in the order
+        asked for; a view past its end is a ValueError."""
+        end = 0
+
+        def take(role, shape):
+            nonlocal end
+            n = math.prod(shape)
+            if role in roles:
+                start, end = end, end + n
+                return shared[start:end].reshape(shape)
+            return self.flat(f"{layer}.{role}", n)[:n].reshape(shape)
+        return take
 
     def flat(self, key: str, n: int) -> np.ndarray:
         """The whole buffer ``key``, grown to at least ``n`` elements."""
@@ -44,41 +54,18 @@ class Workspace:
             self._flat[key] = np.empty(n)
         return self._flat[key]
 
-    def _take(self, layer, region, roles, role, shape):
-        if role in roles:
-            return region(role, shape)
-        n = math.prod(shape)
-        return self.flat(f"{layer}.{role}", n)[:n].reshape(shape)
-
-
-class Region:
-    """A ``buffers(role, shape)`` callable laying views end to end from the
-    start of one flat buffer, for roles that are all dead before the
-    buffer's own role writes it.  A view past its end is a ValueError."""
-
-    def __init__(self, flat):
-        self._flat = flat
-        self._end = 0
-
-    def __call__(self, role, shape):
-        start, self._end = self._end, self._end + math.prod(shape)
-        return self._flat[start : self._end].reshape(shape)
-
 
 def _empty(buffers, role, shape):
     return np.empty(shape) if buffers is None else buffers(role, shape)
 
 
-def _pad_into(out, x, pad):
-    """``out`` holding ``x`` inside a frame of zeros ``pad`` cells wide."""
-    ph, pw = pad
-    h, w = x.shape[-2:]
-    out[..., :ph, :] = 0.0
-    out[..., ph + h:, :] = 0.0
-    out[..., ph : ph + h, :pw] = 0.0
-    out[..., ph : ph + h, pw + w:] = 0.0
-    out[..., ph : ph + h, pw : pw + w] = x
-    return out
+def _frame_into(out, x, rows, cols):
+    """``out`` holding ``x`` at ``[..., rows, cols]`` inside a frame of zeros."""
+    out[..., : rows.start, :] = 0.0
+    out[..., rows.stop :, :] = 0.0
+    out[..., rows, : cols.start] = 0.0
+    out[..., rows, cols.stop :] = 0.0
+    out[..., rows, cols] = x
 
 
 def _check_tensor4(x) -> np.ndarray:
@@ -88,15 +75,16 @@ def _check_tensor4(x) -> np.ndarray:
     return x
 
 
-def _taps(kh, kw, h_out, w_out, stride, dilation):
-    """Per kernel tap, row-major, the strided (rows, cols) slices of the padded
-    input it reads: im2col and col2im loop over taps.
+def _taps(kernel, size, out_size, stride, pad, dilation):
+    """Per kernel tap, row-major, ``((rows, cols), (x_rows, x_cols))``: the
+    output windows whose tap reads a cell of the unpadded input, and the
+    strided slices of the cells they read.  im2col and col2im loop over taps.
     """
-    sh, sw = stride
-    dh, dw = dilation
-    return [(slice(i * dh, i * dh + sh * (h_out - 1) + 1, sh),
-             slice(j * dw, j * dw + sw * (w_out - 1) + 1, sw))
-            for i in range(kh) for j in range(kw)]
+    axes = [[_real_windows(k * d, s, p, n, n_out) for k in range(kn)]
+            for kn, n, n_out, s, p, d
+            in zip(kernel, size, out_size, stride, pad, dilation)]
+    return [((rows, cols), (x_rows, x_cols))
+            for rows, x_rows in axes[0] for cols, x_cols in axes[1]]
 
 
 def conv_output_size(size, kernel, stride, pad, dilation) -> int:
@@ -107,11 +95,13 @@ def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1),
                    buffers=None):
     """Cross-correlation with zero padding, stride and dilation.
 
-    ``buffers`` supplies the roles ``padded``, ``patches`` and ``out``.  A
-    single tap that reads the whole padded input, for more than one output
-    map, takes that input as its patch matrix in place, so the cache then
-    holds a view of it (of ``x`` itself when there is no padding), and
-    writing to it before ``backward`` changes the weight gradient.
+    The padding is never written out: im2col frames the input cells each
+    tap reads with zeros, and the backward adds into the unpadded input's
+    gradient.  ``buffers`` supplies the roles ``patches`` and ``out``.  A
+    single tap that reads all of ``x`` (no padding and no stride), for
+    more than one output map, takes ``x`` as its patch matrix in place, so
+    the cache then holds a view of it, and writing to ``x`` before
+    ``backward`` changes the weight gradient.
     """
     x = _check_tensor4(x)
     w = np.asarray(weights, dtype=np.float64)
@@ -126,29 +116,27 @@ def conv2d_forward(x, weights, bias, stride=(1, 1), pad=(0, 0), dilation=(1, 1),
     if h_out <= 0 or w_out <= 0:
         raise ValueError("input too small for this kernel/stride/padding")
 
-    xp = x if ph == pw == 0 else _pad_into(
-        _empty(buffers, "padded", (1, c, h + 2 * ph, wid + 2 * pw)), x, pad)
-    taps = _taps(kh, kw, h_out, w_out, stride, dilation)
-    if len(taps) == 1 and out_ch > 1 and xp.shape[2:] == (h_out, w_out):
+    taps = _taps((kh, kw), (h, wid), (h_out, w_out), stride, pad, dilation)
+    if (len(taps) == 1 and out_ch > 1
+            and ph == pw == 0 and (h, wid) == (h_out, w_out)):
         # BLAS rounds a product with more than one output row alike for
         # either layout of the patches, so the input serves as they are;
         # OpenBLAS's small-matrix kernels (up to 10^6 multiply-adds) are
         # the exception.
-        patches = xp[0, :, None]
+        patches = x[0, :, None]
     else:
-        # One tap and one map: column-major, the layout an index gather
-        # gives, since BLAS rounds a matrix-vector product differently for
-        # the two layouts.
+        # One tap: column-major, the layout an index gather gives, since
+        # BLAS rounds a matrix-vector product differently for the two
+        # layouts.
         patches = (_empty(buffers, "patches", (c, len(taps), h_out, w_out))
                    if len(taps) > 1 else
                    _empty(buffers, "patches", (1, h_out, w_out, c)).transpose(3, 0, 1, 2))
-        for t, (rows, cols) in enumerate(taps):
-            patches[:, t] = xp[0, :, rows, cols]
+        for t, ((rows, cols), (x_rows, x_cols)) in enumerate(taps):
+            _frame_into(patches[:, t], x[0, :, x_rows, x_cols], rows, cols)
     y = np.matmul(w.reshape(out_ch, -1), patches.reshape(-1, h_out * w_out),
                   out=_empty(buffers, "out", (out_ch, h_out * w_out)))
     y += b[:, None]
-    cache = (patches, taps, xp.shape, w, np.s_[:, :, ph : ph + h, pw : pw + wid])
-    return y.reshape(1, out_ch, h_out, w_out), cache
+    return y.reshape(1, out_ch, h_out, w_out), (patches, taps, x.shape, w)
 
 
 def conv2d_backward(grad_out, cache, input_grad=True, buffers=None):
@@ -157,7 +145,7 @@ def conv2d_backward(grad_out, cache, input_grad=True, buffers=None):
     With ``input_grad`` false the input gradient is not computed and None
     stands in for it.  ``buffers`` supplies the role ``grad_patches``.
     """
-    patches, taps, xp_shape, w, crop = cache
+    patches, taps, x_shape, w = cache
     out_ch = w.shape[0]
     g = np.asarray(grad_out, dtype=np.float64).reshape(out_ch, -1)
     grad_b = g.sum(axis=1)
@@ -167,10 +155,11 @@ def conv2d_backward(grad_out, cache, input_grad=True, buffers=None):
     w2 = w.reshape(out_ch, -1)
     grad_patches = np.matmul(w2.T, g, out=_empty(
         buffers, "grad_patches", (w2.shape[1], g.shape[1]))).reshape(patches.shape)
-    grad_xp = np.zeros(xp_shape)
-    for t, (rows, cols) in enumerate(taps):  # tap order fixes the summation order
-        grad_xp[0, :, rows, cols] += grad_patches[:, t]
-    return grad_xp[crop], grad_w, grad_b
+    grad_x = np.zeros(x_shape)
+    # tap order fixes the summation order
+    for t, ((rows, cols), (x_rows, x_cols)) in enumerate(taps):
+        grad_x[0, :, x_rows, x_cols] += grad_patches[:, t, rows, cols]
+    return grad_x, grad_w, grad_b
 
 
 def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,

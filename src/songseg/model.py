@@ -134,12 +134,8 @@ class BoundaryNet:
         # its start too.  conv3 reads conv2's output buffer in place, and
         # nothing writes that buffer before backward.
         front = ws.flat("conv2.patches", self._front_size(x.shape[3]))
-        region = layers.Region(front)
-        conv1 = ws.buffers("conv1", region,
+        conv1 = ws.buffers("conv1", front,
                            ("out",) if keep_cache else ("patches", "out"))
-
-        def act(role, shape):
-            return front[: math.prod(shape)].reshape(shape)
         h, caches["conv1"] = layers.conv2d_forward(
             x, p["conv1.w"], p["conv1.b"], CONV1["stride"], CONV1["pad"],
             CONV1["dilation"], buffers=conv1)
@@ -147,18 +143,21 @@ class BoundaryNet:
             h, POOL["kernel"], POOL["stride"], POOL["pad"],
             buffers=ws.buffers("pool"), keep_cache=keep_cache)
         h, caches["act1"] = layers.leaky_relu_forward(
-            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache, buffers=act)
+            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache,
+            buffers=ws.buffers("act", front, ("scaled",)))
         h, caches["conv2"] = layers.conv2d_forward(
             h, p["conv2.w"], p["conv2.b"], CONV2["stride"], CONV2["pad"],
             CONV2["dilation"], buffers=ws.buffers("conv2"))
         h, caches["act2"] = layers.leaky_relu_forward(
-            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache, buffers=act)
+            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache,
+            buffers=ws.buffers("act", front, ("scaled",)))
         h, caches["collapse"] = layers.collapse_freq_forward(h)
         h, caches["conv3"] = layers.conv2d_forward(
             h, p["conv3.w"], p["conv3.b"], CONV3["stride"], CONV3["pad"],
             CONV3["dilation"], buffers=ws.buffers("conv3"))
         h, caches["act3"] = layers.leaky_relu_forward(
-            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache, buffers=act)
+            h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache,
+            buffers=ws.buffers("act", front, ("scaled",)))
         # conv4's output holds the logits: a fresh array, not a buffer.
         h, caches["conv4"] = layers.conv2d_forward(
             h, p["conv4.w"], p["conv4.b"], CONV4["stride"], CONV4["pad"],

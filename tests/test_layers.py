@@ -273,7 +273,7 @@ class TestBitIdenticalToGatherScatter:
     @pytest.mark.parametrize("maps, stride, pad, in_place", [
         (4, (1, 1), (0, 0), True),  # conv3: the input is the patch matrix
         (1, (1, 1), (0, 0), False),  # conv4: a matrix-vector product
-        (4, (1, 1), (1, 2), False),  # the padded copy is the patch matrix
+        (4, (1, 1), (1, 2), False),  # padded: im2col frames the input with zeros
         (4, (2, 3), (0, 0), False),
     ])
     def test_single_tap_convolutions(self, rng, maps, stride, pad, in_place):
@@ -283,6 +283,28 @@ class TestBitIdenticalToGatherScatter:
         _assert_conv_matches_gather(x, w, b, stride, pad, (1, 1), grad_seed=3)
         _, cache = layers.conv2d_forward(x, w, b, stride, pad)
         assert np.shares_memory(cache[0], x) == in_place
+
+    @pytest.mark.parametrize("channels, frames", [(1024, 5), (1024, 7), (64, 122)])
+    def test_small_in_place_products_within_rounding(self, rng, channels, frames):
+        # conv3's shape with at most 10^6 multiply-adds: OpenBLAS 0.3.31's
+        # small-matrix kernels round the in-place (row-major) patches and the
+        # gather's column-major ones differently in the last bits.  Each value
+        # stays within n * eps * (the same sum over absolute values), the
+        # rounding bound of a sum of n products, n = channels + maps.
+        x = rng.standard_normal((1, channels, 1, frames))
+        w = rng.standard_normal((model.CONV3["maps"], channels, 1, 1))
+        b = rng.standard_normal(model.CONV3["maps"])
+        y, cache = layers.conv2d_forward(x, w, b)
+        assert np.shares_memory(cache[0], x)
+        geometry = ((1, 1), (0, 0), (1, 1))
+        y_ref, grad_ref = conv2d_by_gather(x, w, b, *geometry)
+        y_abs, grad_abs = conv2d_by_gather(abs(x), abs(w), abs(b), *geometry)
+        upstream = rng.standard_normal(y.shape)
+        tol = (channels + len(b)) * np.finfo(np.float64).eps
+        for got, want, scale in zip((y, *layers.conv2d_backward(upstream, cache)),
+                                    (y_ref, *grad_ref(upstream)),
+                                    (y_abs, *grad_abs(abs(upstream)))):
+            assert np.all(abs(got - want) <= tol * scale)
 
     def test_model_pool_on_rectified_input(self, rng):
         # leaky-ReLU output of a zero-padded convolution: plateaus of zeros
@@ -471,6 +493,24 @@ class TestInferenceKernels:
             with pytest.raises(ValueError, match="slope"):
                 layers.leaky_relu_forward(np.ones(3), slope, inplace=inplace)
 
+    def test_convolutions_write_no_padding(self, rng):
+        net = model.BoundaryNet(input_height=12, seed=1)
+        x = rng.standard_normal((12, 20))
+        net.forward(x)
+        logits, caches = net.forward_with_cache(x)
+        net.backward(np.tanh(logits), caches)
+        assert not [key for key in net.workspace._flat if key.endswith(".padded")]
+        # conv2's geometry: both axes padded, time dilated
+        x = rng.standard_normal((1, 3, 6, 17))
+        w, b = rng.standard_normal((2, 3, 3, 5)), rng.standard_normal(2)
+        geometry = ((1, 1), (1, 6), (1, 3))
+        y, cache = layers.conv2d_forward(x, w, b, *geometry)
+        upstream = rng.standard_normal(y.shape)
+        grad_x = layers.conv2d_backward(upstream, cache)[0]
+        assert grad_x.flags.c_contiguous
+        _, grad_ref = conv2d_by_gather(x, w, b, *geometry)
+        assert grad_x.tobytes() == grad_ref(upstream)[0].tobytes()
+
     def test_workspace_serves_views_of_one_buffer_per_role(self):
         take = layers.Workspace().buffers("conv1")
         wide = take("out", (4, 10))
@@ -482,17 +522,17 @@ class TestInferenceKernels:
         assert np.shares_memory(grown, take("out", (4, 10)))
 
     def test_region_lays_views_end_to_end(self):
+        # roles named as shared lie end to end in it; others get their own
         ws = layers.Workspace()
         flat = ws.flat("conv2.patches", 10)
-        region = layers.Region(flat)
-        take = ws.buffers("conv1", region, ("patches", "out"))
-        patches, own = take("patches", (2, 2)), take("padded", (3,))
+        take = ws.buffers("conv1", flat, ("patches", "out"))
+        patches, own = take("patches", (2, 2)), take("grad_patches", (3,))
         out = take("out", (6,))
         assert np.shares_memory(patches, flat[:4]) and np.shares_memory(out, flat[4:])
         assert not np.shares_memory(own, flat)
         assert ws.flat("conv2.patches", 8) is flat
         with pytest.raises(ValueError):
-            region("padded", (1,))
+            take("out", (1,))
 
 
 @functools.lru_cache(maxsize=1)
