@@ -188,11 +188,15 @@ def save_split_manifest(path, split: DatasetSplit) -> None:
 def load_split_manifest(path) -> DatasetSplit:
     split = DatasetSplit()
     buckets = {"train": split.train, "val": split.validation, "test": split.test}
+    listed = {}  # track -> the line that lists it
     for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in buckets:
             raise FormatError(f"{path}:{lineno}: expected 'id<TAB>train|val|test'")
+        if listed.setdefault(parts[0], lineno) != lineno:
+            raise FormatError(f"{path}:{lineno}: track {parts[0]!r} is already "
+                              f"listed on line {listed[parts[0]]}")
         buckets[parts[1]].append(parts[0])
     return split

@@ -51,8 +51,8 @@ def read_wav(path) -> AudioBuffer:
     ------
     FormatError
         If the file is not a RIFF/WAVE container, uses an unsupported
-        encoding, declares a sample rate of 0, or its data chunk is not a
-        whole number of samples.
+        encoding, declares a sample rate of 0, holds a NaN or infinite
+        float sample, or its data chunk is not a whole number of samples.
     OSError
         If the declared data payload is truncated.
     """
@@ -101,6 +101,9 @@ def read_wav(path) -> AudioBuffer:
         raise FormatError(f"{path}: data chunk of {size} bytes is not a whole "
                           f"number of {bits}-bit samples")
     raw = np.frombuffer(data, dtype, size // (bits // 8), offset)
+    if audio_format == 3 and not np.isfinite(raw).all():
+        raise FormatError(f"{path}: non-finite sample at index "
+                          f"{np.argmin(np.isfinite(raw))}")
 
     if channels == 2:
         if raw.size % 2:

@@ -6,7 +6,8 @@ rule.  Tensors are ``(batch=1, channels, height, width)`` arrays; all
 arithmetic runs in float64 regardless of input dtype so finite-difference
 checks stay meaningful.
 
-The convolution and the pool pad by index and never write their padding.
+The convolution and the pool pad by index and never write their padding,
+and the pool's backward is one scatter over winners cached as input indices.
 They and the cache-free LeakyReLU take an optional ``buffers(role, shape)``
 callable, such as :meth:`Workspace.buffers`, that supplies their large
 temporaries in place of fresh arrays.  Their output and cache then live in
@@ -172,10 +173,10 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
     padding is never written out: a window's column maxima come from its
     rows inside ``x``, and a padding column's are -inf.  The order of the
     maxima matters only for zeros and NaNs, whose values are taken from the
-    winning position.  Only ``backward`` and such a window need the winning
-    tap; with ``keep_cache`` false it is found only for such windows, and
-    the cache is None.  ``buffers`` supplies the roles ``col_max`` and
-    ``out``.
+    winning position.  The cache holds each window's winner as an index into the
+    flattened ``x`` (``x.size`` where padding wins) and ``x``'s shape; with
+    ``keep_cache`` false winners are found only for such windows, and the cache
+    is None.  ``buffers`` supplies the roles ``col_max`` and ``out``.
     """
     x = _check_tensor4(x)[0]
     c, h, wid = x.shape
@@ -214,13 +215,14 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
         fix |= np.isnan(y)
     if not keep_cache and not fix.any():
         return y[None], None
-    arg = _first_max_tap(x, rows, col_max, pw, cols, y, kw, has_nan)
-    if fix.any():
-        chan, row, col = np.nonzero(fix)
-        tap = arg[fix]
-        y[fix] = x[chan, sh * row + tap // kw - ph, sw * col + tap % kw - pw]
-    cache = (arg, kw, (sh, sw), np.s_[:, :, ph : ph + h, pw : pw + wid])
-    return y[None], (cache if keep_cache else None)
+    tap = _first_max_tap(x, rows, col_max, pw, cols, y, kw, has_nan)
+    # each winner's index in x.ravel(), or x.size where padding wins
+    r = sh * np.arange(h_out)[:, None] - ph + tap // kw
+    q = sw * np.arange(w_out) - pw + tap % kw
+    winners = (np.arange(c)[:, None, None] * h + r) * wid + q
+    winners[(r < 0) | (r >= h) | (q < 0) | (q >= wid)] = x.size
+    y[fix] = x.ravel()[winners[fix]]
+    return y[None], ((winners, (1, c, h, wid)) if keep_cache else None)
 
 
 def _real_windows(tap, stride, pad, size, n_out):
@@ -274,33 +276,23 @@ def _misses(values, maximum, has_nan, out=None):
 def maxpool2d_backward(grad_out, cache):
     """Route each output gradient to the input position that won the max.
 
-    A window won by padding (every value it reads is -inf) routes nowhere.
-    A cache extended by the ``(nonneg, slope)`` cache of a LeakyReLU applied
-    to the pooled output also runs that activation's backward, in the place
-    it would take if it had been applied before pooling: the gradients a
-    position won are summed first and scaled once, by the slope where the
+    One ``bincount`` over the cached winners; a window won by padding routes
+    nowhere.  A cache extended by the ``(nonneg, slope)`` cache of a LeakyReLU
+    applied to the pooled output also runs that activation's backward, in the
+    place it would take if it had been applied before pooling: the gradients
+    a position won are summed first and scaled once, by the slope where the
     pooled value is negative or NaN.  Scaling each pooled gradient before
     routing would round the sum differently.
     """
-    arg, kw, stride, crop, *act = cache
-    c, h_out, w_out = arg.shape
-    _, _, rows, cols = crop
-    h, w = rows.stop - rows.start, cols.stop - cols.start
-    n = c * h * w
-    # The winner's row and column in the unpadded input.
-    r = stride[0] * np.arange(h_out)[:, None] - rows.start + arg // kw
-    q = stride[1] * np.arange(w_out) - cols.start + arg % kw
-    flat = ((np.arange(c)[:, None, None] * h + r) * w + q).ravel()
-    if r.min() < 0 or r.max() >= h or q.min() < 0 or q.max() >= w:
-        # padding's winners go to an extra bin, which is dropped
-        flat[((r < 0) | (r >= h) | (q < 0) | (q >= w)).ravel()] = n
+    winners, x_shape, *act = cache
+    n = math.prod(x_shape)
     g = np.asarray(grad_out, dtype=np.float64).ravel()
     # bincount sums the gradients of one position in increasing output order
-    grad_x = np.bincount(flat, weights=g, minlength=n + 1)
+    grad_x = np.bincount(winners.ravel(), weights=g, minlength=n + 1)
     if act:
         nonneg, slope = act
-        grad_x[flat[~nonneg.ravel()]] *= slope
-    return grad_x[:n].reshape(1, c, h, w)
+        grad_x[winners[~nonneg.reshape(winners.shape)]] *= slope
+    return grad_x[:n].reshape(x_shape)
 
 
 def leaky_relu_forward(x, slope=0.01, inplace=False, keep_cache=True,

@@ -710,53 +710,52 @@ def maxpool2d_per_tap(x, kernel, stride, pad):
     """Max pooling by one ``>`` / ``np.where`` pass per window tap.
 
     The former form of ``layers.maxpool2d_forward``, which must match it in
-    value, sign of zero and winning tap.  Returns ``(y, cache)`` in the
-    layout ``layers.maxpool2d_backward`` reads.
+    value, sign of zero and winner.  Returns ``(y, cache)`` in the layout
+    ``layers.maxpool2d_backward`` reads: each window's winner is looked up
+    in a padded map of input indices, whose padding holds ``x.size``.
     """
     x = np.asarray(x, dtype=np.float64)
     _, c, h, wid = x.shape
     (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
     h_out = _out_size(h, kh, sh, ph, 1)
     w_out = _out_size(wid, kw, sw, pw, 1)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    widths = ((0, 0), (0, 0), (ph, ph), (pw, pw))
+    xp = np.pad(x, widths, constant_values=-np.inf)
+    index = np.pad(np.arange(x.size).reshape(x.shape), widths, constant_values=x.size)
     taps = [(slice(i, i + sh * (h_out - 1) + 1, sh),
              slice(j, j + sw * (w_out - 1) + 1, sw))
             for i in range(kh) for j in range(kw)]
     y = xp[0, :, taps[0][0], taps[0][1]]
-    arg = np.zeros(y.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    winners = index[0, :, taps[0][0], taps[0][1]]
     has_nan = np.isnan(x).any()
-    for t, (rows, cols) in enumerate(taps[1:], start=1):
+    for rows, cols in taps[1:]:
         tap = xp[0, :, rows, cols]
         wins = tap > y
         if has_nan:
             wins |= np.isnan(tap) & ~np.isnan(y)
         y = np.where(wins, tap, y)
-        arg = np.where(wins, arg.dtype.type(t), arg)
-    cache = (arg, kw, stride, np.s_[:, :, ph : ph + h, pw : pw + wid])
-    return np.ascontiguousarray(y)[None], cache
+        winners = np.where(wins, index[0, :, rows, cols], winners)
+    return np.ascontiguousarray(y)[None], (winners, x.shape)
 
 
-def maxpool2d_backward_padded(grad_out, cache):
+def maxpool2d_backward_padded(grad_out, cache, pad):
     """The former ``layers.maxpool2d_backward``: route into the whole padded
     input with ``bincount``, scale by an activation cache's slope, and crop.
+    A window that padding wins (winner ``x.size``) routes to the padded
+    input's first cell, which is padding.
     """
-    arg, kw, stride, crop, *act = cache
-    c, h_out, w_out = arg.shape
-    _, _, rows, cols = crop
-    # the crop keeps the middle of the padded input, padding on both sides
-    hp, wp = rows.start + rows.stop, cols.start + cols.stop
-    xp_shape = (1, c, hp, wp)
-    chan = np.arange(c)[:, None, None]
-    row = np.arange(h_out)[:, None]
-    col = np.arange(w_out)
-    flat = ((chan * hp + stride[0] * row + arg // kw) * wp
-            + stride[1] * col + arg % kw)
+    winners, x_shape, *act = cache
+    _, _, h, w = x_shape
+    ph, pw = pad
+    inside = np.pad(np.ones(x_shape, dtype=bool), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    # each input cell's index in the padded input, then padding's
+    flat = np.append(np.flatnonzero(inside), 0)[winners]
     g = np.asarray(grad_out, dtype=np.float64).ravel()
-    grad_xp = np.bincount(flat.ravel(), weights=g, minlength=np.prod(xp_shape))
+    grad_xp = np.bincount(flat.ravel(), weights=g, minlength=inside.size)
     if act:
         nonneg, slope = act
-        grad_xp[flat[~nonneg.reshape(arg.shape)]] *= slope
-    return grad_xp.reshape(xp_shape)[crop]
+        grad_xp[flat[~nonneg.reshape(flat.shape)]] *= slope
+    return grad_xp.reshape(inside.shape)[:, :, ph : ph + h, pw : pw + w]
 
 
 def leaky_relu_by_where(x, slope):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,12 @@ def test_split_manifest_roundtrip(tmp_path):
     assert loaded.train == split.train
     assert loaded.validation == split.validation
     assert loaded.test == split.test
+
+
+@pytest.mark.parametrize("second", ["train", "test"])
+def test_split_manifest_track_listed_twice(tmp_path, second):
+    path = tmp_path / "splits.tsv"
+    path.write_text(f"t1\ttrain\nt2\ttrain\n\nt1\t{second}\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:4: track 't1' "
+                                          "is already listed on line 1$"):
+        load_split_manifest(path)

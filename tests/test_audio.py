@@ -101,9 +101,28 @@ class TestReadWav:
             path = Path(tmp) / "any.wav"
             _write_raw_wav(path, payload, fmt_code=1 if dtype == "<i2" else 3,
                            channels=channels, bits=16 if dtype == "<i2" else 32)
+            finite = np.isfinite(np.frombuffer(payload, dtype))
+            if not finite.all():
+                with pytest.raises(FormatError, match="non-finite sample at index "
+                                                      f"{np.argmin(finite)}$"):
+                    read_wav(path)
+                return
             samples = read_wav(path).samples
         assert samples.dtype == np.float64
         assert samples.tobytes() == _former_samples(payload, dtype, channels).tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_non_finite_float_sample_rejected(self, tmp_path, value, channels, last):
+        samples = np.linspace(-0.5, 0.5, 20 * channels).astype("<f4")
+        index = samples.size - 1 if last else 0
+        samples[index] = value
+        path = tmp_path / "nonfinite.wav"
+        _write_raw_wav(path, samples.tobytes(), fmt_code=3, channels=channels, bits=32)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
+                                              f"non-finite sample at index {index}$"):
+            read_wav(path)
 
     @pytest.mark.parametrize("bits, fmt_code, size", [(16, 1, 3), (32, 3, 6),
                                                       (32, 3, 1)])

@@ -17,9 +17,11 @@ import pytest
 
 from songseg import cli
 from songseg.cli import _build_parser, main
+from songseg.model import BoundaryNet
+from songseg.optim import init_adam
 from songseg.params import SSLM_VARIANTS, PipelineParams, RunConfig
 from songseg.pipeline import _read_meta
-from songseg.serialize import load_matrix
+from songseg.serialize import load_matrix, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +260,24 @@ def test_sweep_and_plot(workspace):
     assert replot.read_text().count("<polyline") == 3
 
 
+def test_sweep_rejects_a_track_listed_twice(workspace, tmp_path, capsys):
+    data, cfg, feats = (workspace[k] for k in ("data", "cfg", "feats"))
+    checkpoint = tmp_path / "model.ckpt"
+    model = BoundaryNet(input_height=80)
+    save_checkpoint(model, init_adam(model.params), checkpoint,
+                    RunConfig.from_file(cfg).pipeline_hash(), epoch=1)
+    manifest = tmp_path / "twice.tsv"
+    manifest.write_text("track000\ttrain\ntrack001\ttrain\ntrack000\ttest\n")
+    assert main(["sweep-threshold", "--config", str(cfg),
+                 "--checkpoint", str(checkpoint), "--features", str(feats),
+                 "--refs", str(data / "refs"), "--split", str(manifest),
+                 "--subset", "test", "--out-csv", str(tmp_path / "sweep.csv"),
+                 "--out-svg", str(tmp_path / "sweep.svg")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {manifest}:3: track 'track000' is already listed on line 1"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_evaluate_warns_on_unmatched_ids(workspace, tmp_path, capsys):
     data = workspace["data"]
     est_dir = tmp_path / "est"
@@ -347,6 +367,27 @@ def test_features_partial_failure(workspace, tmp_path, capsys):
     assert rc == 1  # the batch continues but reports the failure
     assert "broken.wav" in capsys.readouterr().err
     assert (tmp_path / "out" / "good.mls.mat").exists()
+
+
+def test_features_non_finite_float_wav_fails_by_name(workspace, tmp_path, capsys):
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    samples = np.zeros(22050, dtype="<f4")
+    samples[100] = np.nan
+    size = samples.nbytes
+    header = b"".join([b"RIFF", struct.pack("<I", 36 + size), b"WAVE",
+                       b"fmt ", struct.pack("<IHHIIHH", 16, 3, 1, 22050, 88200, 4, 32),
+                       b"data", struct.pack("<I", size)])
+    (audio / "nan.wav").write_bytes(header + samples.tobytes())
+    rc = main(["features", "--config", str(workspace["cfg"]),
+               "--audio-dir", str(audio), "--out", str(tmp_path / "out"),
+               "--workers", "1"])
+    assert rc == 1
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("failed:")]
+    wav = audio / "nan.wav"
+    assert failed == [f"failed: {wav}: FormatError: {wav}: non-finite sample at index 100"]
+    assert not (tmp_path / "out" / "nan.mls.mat").exists()
 
 
 # Fractions of a clean run's wall time, start-up included, at which a

@@ -405,14 +405,19 @@ class TestUnpaddedPoolRouting:
         upstream = np.random.default_rng(data.draw(_SEEDS)).standard_normal(y.shape)
         got = layers.maxpool2d_backward(upstream, cache)
         assert got.flags.c_contiguous
-        assert got.tobytes() == maxpool2d_backward_padded(upstream, cache).tobytes()
+        want = maxpool2d_backward_padded(upstream, cache, pad)
+        assert got.tobytes() == want.tobytes()
 
     def test_all_padding_window_routes_nowhere(self):
         x = np.full((1, 1, 4, 4), -np.inf)
         y, cache = layers.maxpool2d_forward(x, (3, 3), (1, 1), (1, 1))
         assert np.all(y == -np.inf)
+        # padding comes first in the windows of the top row and left column
+        assert np.count_nonzero(cache[0] == x.size) == 7
         grad = layers.maxpool2d_backward(np.ones(y.shape), cache)
-        assert np.array_equal(grad, maxpool2d_backward_padded(np.ones(y.shape), cache))
+        assert grad.sum() == y.size - 7
+        assert np.array_equal(grad, maxpool2d_backward_padded(np.ones(y.shape), cache,
+                                                              (1, 1)))
 
 
 class TestInferenceKernels:
