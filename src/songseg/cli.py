@@ -184,7 +184,8 @@ def _extract_one(wav_path, out_dir, run, force):
     try:
         pipeline.extract_track_features(wav_path, out_dir, run, force=force)
     except Exception as exc:  # report per-file, batch continues
-        return f"{type(exc).__name__}: {exc}"
+        # the failed: line names the file already
+        return f"{type(exc).__name__}: {str(exc).removeprefix(f'{wav_path}: ')}"
     return None
 
 

@@ -40,7 +40,12 @@ class ScoreReport:
 
 def match_boundaries(ref: BoundarySet, est: BoundarySet,
                      tolerance: float) -> MatchResult:
-    """Maximum matching between reference and estimated boundaries.
+    """Maximum matching between reference and estimated boundaries."""
+    return match_times(ref.times.tolist(), est.times.tolist(), tolerance)
+
+
+def match_times(ref_times: list, est_times: list, tolerance: float) -> MatchResult:
+    """Maximum matching between two sorted lists of times.
 
     A pair is a hit when ``abs(ref - est) <= tolerance``.  For one reference
     the estimates it accepts form a contiguous run of the sorted times, and
@@ -50,10 +55,9 @@ def match_boundaries(ref: BoundarySet, est: BoundarySet,
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    est_times = est.times.tolist()
     pairs = []
     j = 0
-    for r in ref.times.tolist():
+    for r in ref_times:
         # estimates left of this window are left of every later one too
         while j < len(est_times) and r - est_times[j] > tolerance:
             j += 1
@@ -61,7 +65,8 @@ def match_boundaries(ref: BoundarySet, est: BoundarySet,
             pairs.append((r, est_times[j]))
             j += 1
     tp = len(pairs)
-    return MatchResult(tp=tp, fp=len(est) - tp, fn=len(ref) - tp, pairs=pairs)
+    return MatchResult(tp=tp, fp=len(est_times) - tp, fn=len(ref_times) - tp,
+                       pairs=pairs)
 
 
 def prf(m: MatchResult, beta: float = 1.0):

@@ -173,10 +173,12 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
     padding is never written out: a window's column maxima come from its
     rows inside ``x``, and a padding column's are -inf.  The order of the
     maxima matters only for zeros and NaNs, whose values are taken from the
-    winning position.  The cache holds each window's winner as an index into the
-    flattened ``x`` (``x.size`` where padding wins) and ``x``'s shape; with
-    ``keep_cache`` false winners are found only for such windows, and the cache
-    is None.  ``buffers`` supplies the roles ``col_max`` and ``out``.
+    winning position.  The cache holds each window's winner as an index into
+    the flattened ``x``, its window's origin plus a per-tap offset (``x.size``
+    where padding wins, which it can only where the maximum is -inf), and
+    ``x``'s shape; with ``keep_cache`` false winners are found only for such
+    windows, and the cache is None.  ``buffers`` supplies the roles
+    ``col_max`` and ``out``.
     """
     x = _check_tensor4(x)[0]
     c, h, wid = x.shape
@@ -216,11 +218,16 @@ def maxpool2d_forward(x, kernel=(5, 3), stride=(5, 1), pad=(1, 1), buffers=None,
     if not keep_cache and not fix.any():
         return y[None], None
     tap = _first_max_tap(x, rows, col_max, pw, cols, y, kw, has_nan)
-    # each winner's index in x.ravel(), or x.size where padding wins
-    r = sh * np.arange(h_out)[:, None] - ph + tap // kw
-    q = sw * np.arange(w_out) - pw + tap % kw
-    winners = (np.arange(c)[:, None, None] * h + r) * wid + q
-    winners[(r < 0) | (r >= h) | (q < 0) | (q >= wid)] = x.size
+    # each winner's index in x.ravel(): its window's origin plus its tap's offset
+    offs = (wid * np.arange(kh)[:, None] + np.arange(kw)).ravel()
+    winners = offs.take(tap)
+    winners += (wid * (h * np.arange(c)[:, None] + sh * np.arange(h_out) - ph))[..., None]
+    winners += sw * np.arange(w_out) - pw
+    # only a window whose maximum is -inf can be won by padding: x.size there
+    _, o, p = edge = np.unravel_index(np.flatnonzero(y == -np.inf), y.shape)
+    r, q = sh * o - ph + tap[edge] // kw, sw * p - pw + tap[edge] % kw
+    padded = (r < 0) | (r >= h) | (q < 0) | (q >= wid)
+    winners[tuple(e[padded] for e in edge)] = x.size
     y[fix] = x.ravel()[winners[fix]]
     return y[None], ((winners, (1, c, h, wid)) if keep_cache else None)
 

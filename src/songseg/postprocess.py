@@ -5,9 +5,9 @@ those above their neighbours and a threshold, then greedily suppresses any
 peak within six seconds of a stronger one, comparing each candidate with
 the nearest accepted peak on either side.  The threshold sweep counts the
 peaks each curve keeps at every threshold with one ``searchsorted``,
-scores a whole split at every candidate threshold and reports the
-best-scoring one.  Outputs equal the frame-by-frame loop references in
-``tests/oracles.py`` bit for bit.
+matches each curve once per distinct count, averages the per-track scores
+at every threshold and reports the best-scoring one.  Outputs equal the
+frame-by-frame loop references in ``tests/oracles.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import BoundarySet
-from .evaluation import score_corpus
+from .evaluation import match_times, prf
 from .errors import FormatError
 from .layers import sigmoid
 from .serialize import read_lines, write_text
@@ -100,41 +100,34 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
 
     ``pairs`` is a list of ``(PredictionCurve, BoundarySet)`` items.  Returns
     ``(best_threshold, rows)`` where rows hold mean precision/recall/F per
-    threshold; ties on F go to the smallest threshold.
+    threshold, as :func:`score_corpus` reports them for the peaks
+    :func:`pick_peaks` keeps there; ties on F go to the smallest threshold.
 
     Peaks are picked once per curve at threshold 0; each threshold keeps
-    those whose probability reaches it, which is what :func:`pick_peaks`
-    returns at that threshold.  One ``searchsorted`` of the grid into each
-    curve's sorted peak probabilities counts the peaks kept at every
-    threshold.  The kept peaks change at few thresholds, so each distinct
-    selection is scored once.
+    those whose probability reaches it.  One ``searchsorted`` of the grid
+    into a curve's sorted peak probabilities counts the peaks it keeps at
+    every threshold, and each distinct count is matched once.  Per-track
+    scores are summed in track order and divided, as ``score_corpus``'s mean.
     """
     if not pairs:
         raise ValueError("need at least one (curve, reference) pair")
-    picked = []
+    grid = np.arange(int(round(1.0 / SWEEP_STEP)) + 1) * SWEEP_STEP
+    total = np.zeros((grid.size, 3))
     for curve, ref in pairs:
         peaks = pick_peaks(curve, 0.0)
         # each peak's frame, recovered from its time, gives its probability
         frames = np.rint(peaks.times * curve.frame_rate).astype(int) + curve.pad_frames
-        picked.append((ref, peaks.times, curve.probs[frames]))
-    grid = np.arange(int(round(1.0 / SWEEP_STEP)) + 1) * SWEEP_STEP
-    counts = np.array([probs.size - np.searchsorted(np.sort(probs), grid, side="left")
-                       for _, _, probs in picked]).T
-    rows = []
-    best_threshold, best_f = 0.0, -1.0
-    reports = {}  # by the number of peaks each curve keeps
-    for threshold, kept in zip(grid.tolist(), map(tuple, counts.tolist())):
-        if kept not in reports:
-            scored = [(ref, BoundarySet(times[probs >= threshold]))
-                      for ref, times, probs in picked]
-            reports[kept] = score_corpus(scored, tolerance=tolerance, beta=beta)
-        report = reports[kept]
-        rows.append(SweepRow(threshold, report.mean_precision,
-                             report.mean_recall, report.mean_f))
-        if report.mean_f > best_f:
-            best_f = report.mean_f
-            best_threshold = threshold
-    return best_threshold, rows
+        probs = curve.probs[frames]
+        counts = probs.size - np.searchsorted(np.sort(probs), grid, side="left")
+        _, first, which = np.unique(counts, return_index=True, return_inverse=True)
+        refs = ref.times.tolist()
+        table = [prf(match_times(refs, peaks.times[probs >= t].tolist(), tolerance), beta)
+                 for t in grid[first].tolist()]
+        total += np.asarray(table)[which]
+    means = total / len(pairs)
+    best = int(np.argmax(means[:, 2]))  # the first maximum
+    return grid[best].item(), [SweepRow(t, *row)
+                               for t, row in zip(grid.tolist(), means.tolist())]
 
 
 def write_sweep_csv(path, rows) -> None:

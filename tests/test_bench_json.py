@@ -53,6 +53,25 @@ def test_median_min_max_per_workload_and_side(tmp_path):
     assert not got["change"]["all_correct"]
 
 
+def test_checkout_kind_per_side(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _record(parent, "train-sweep", 1, 0, 300.0)
+    _record(change, "train-sweep", 1, 0, 310.0)
+    _benchmark(change)
+    out = tmp_path / "bench.json"
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["train-sweep"]
+    assert got["git_dir"] == {"parent": False, "change": False}
+    assert got["same_checkout_kind"]
+    assert capsys.readouterr().err == ""
+    (parent / ".git").mkdir()  # a clone against a plain copy
+    assert bench_json.main([str(parent), str(change), "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["train-sweep"]
+    assert got["git_dir"] == {"parent": True, "change": False}
+    assert not got["same_checkout_kind"]
+    assert capsys.readouterr().err.startswith("warning: one checkout has a .git")
+
+
 def test_missing_records_exit_1(tmp_path, capsys):
     _record(tmp_path / "parent", "train-sweep", 1, 0, 1.0)
     out = tmp_path / "bench.json"

@@ -386,7 +386,7 @@ def test_features_non_finite_float_wav_fails_by_name(workspace, tmp_path, capsys
     failed = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("failed:")]
     wav = audio / "nan.wav"
-    assert failed == [f"failed: {wav}: FormatError: {wav}: non-finite sample at index 100"]
+    assert failed == [f"failed: {wav}: FormatError: non-finite sample at index 100"]
     assert not (tmp_path / "out" / "nan.mls.mat").exists()
 
 

@@ -419,6 +419,28 @@ class TestUnpaddedPoolRouting:
         assert np.array_equal(grad, maxpool2d_backward_padded(np.ones(y.shape), cache,
                                                               (1, 1)))
 
+    def test_real_neg_inf_before_padding_wins(self):
+        # the last window reads x[0, 1] before the padding column on its right
+        x = np.full((1, 1, 2, 2), -np.inf)
+        y, cache = layers.maxpool2d_forward(x, (2, 2), (1, 1), (0, 1))
+        assert np.all(y == -np.inf)
+        assert cache[0].tolist() == [[[x.size, 0, 1]]]
+        grad = layers.maxpool2d_backward(np.array([[[[1.0, 2.0, 3.0]]]]), cache)
+        assert grad.tolist() == [[[[2.0, 3.0], [0.0, 0.0]]]]
+
+    def test_padding_first_routes_nowhere(self):
+        # The windows of the left column read the padding first.  Their first
+        # tap's origin plus offset lands on the previous row's last cell (or
+        # before x), which must not receive their gradient.
+        x = np.full((1, 1, 2, 2), -np.inf)
+        y, cache = layers.maxpool2d_forward(x, (2, 2), (1, 1), (1, 1))
+        n = x.size
+        assert cache[0].tolist() == [[[n, n, n], [n, 0, 1], [n, 2, 3]]]
+        upstream = np.arange(1.0, 10.0).reshape(y.shape)
+        grad = layers.maxpool2d_backward(upstream, cache)
+        assert grad.tolist() == [[[[5.0, 6.0], [8.0, 9.0]]]]
+        assert np.array_equal(grad, maxpool2d_backward_padded(upstream, cache, (1, 1)))
+
 
 class TestInferenceKernels:
     """Buffers, the cache-free pool and the in-place activation change no bit."""

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from songseg import evaluation, postprocess
 from songseg.annotations import BoundarySet
 from songseg.evaluation import score_corpus
 from songseg.postprocess import (SUPPRESSION_SECONDS, SWEEP_STEP, PredictionCurve,
@@ -135,6 +136,33 @@ class TestSweepThreshold:
         assert best == 0.0
         assert all(r.f_score == 0.0 for r in rows)
 
+    def test_one_matching_per_curve_and_distinct_kept_count(self, monkeypatch):
+        # two curves of 746 frames with 10 peaks each, as in perfbench's sweep
+        rng = np.random.default_rng(28)
+        frames = GAMMA + 10 + 65 * np.arange(10)
+        pairs, bound = [], 0
+        for _ in range(2):
+            heights = rng.uniform(0.05, 0.99, frames.size)
+            probs = np.zeros(746)
+            probs[frames] = heights
+            refs = BoundarySet((frames[::2] + rng.integers(-3, 4, 5) - GAMMA) / FRAME_RATE)
+            pairs.append((_curve(probs), refs))
+            bound += len({np.count_nonzero(heights >= i * SWEEP_STEP)
+                          for i in range(int(round(1.0 / SWEEP_STEP)) + 1)})
+        want = sweep_threshold_loop(pairs, tolerance=0.5)
+        calls, real = [], evaluation.match_times
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "match_times", counting)
+        monkeypatch.setattr(postprocess, "match_times", counting)
+        best, rows = sweep_threshold(pairs, tolerance=0.5)
+        assert (best, [(r.threshold, r.precision, r.recall, r.f_score)
+                       for r in rows]) == want
+        assert 2 <= len(calls) <= bound
+
     def test_csv_output(self, tmp_path):
         _, rows = sweep_threshold(self._oracle_pairs(), tolerance=0.5)
         path = tmp_path / "sweep.csv"
@@ -218,12 +246,16 @@ class TestAgainstLoopOracles:
         assert pick_peaks(curve, threshold) == BoundarySet(pick_peaks_loop(
             curve.probs, curve.frame_rate, curve.pad_frames, threshold))
 
+    # Up to 12 tracks, so the per-track means sum more than 8 terms; every
+    # curve draws from the same few levels, so the tracks' kept counts
+    # change at shared thresholds.
     @settings(max_examples=60, deadline=None)
-    @given(curves=st.lists(_plateau_curves, min_size=1, max_size=3),
-           refs=st.lists(st.floats(0.0, 60.0), max_size=5),
+    @given(pairs=st.lists(st.tuples(_plateau_curves,
+                                    st.lists(st.floats(0.0, 60.0), max_size=5)),
+                          min_size=1, max_size=12),
            tolerance=st.sampled_from([0.5, 3.0]), beta=st.sampled_from([0.5, 1.0]))
-    def test_sweep_threshold(self, curves, refs, tolerance, beta):
-        _assert_sweep_matches_loop([(curve, BoundarySet(refs)) for curve in curves],
+    def test_sweep_threshold(self, pairs, tolerance, beta):
+        _assert_sweep_matches_loop([(curve, BoundarySet(refs)) for curve, refs in pairs],
                                    tolerance, beta)
 
     @pytest.mark.parametrize("probs, frames", [

@@ -9,7 +9,11 @@ workload and seed are pairs; for each metric it counts the pairs the change
 wins, in the direction the change checkout's ``BENCHMARK.json`` calls
 better (a tie is no win), and whether the change may claim a gain on it
 (see ``gains``).  Each metric that ``BENCHMARK.json`` gives a bound gets a
-no-regression verdict per workload (see ``verdicts``):
+no-regression verdict per workload (see ``verdicts``).  Each workload also
+records which side's checkout has a ``.git`` directory (``git_dir``) and
+whether both sides were made the same way (``same_checkout_kind``; a
+warning is printed when not), because ``peak_rss_mb`` has read about 2 MB
+lower for a ``git clone`` than for a plain copy of the same commit:
 
     python3 tools/bench_json.py PARENT_CHECKOUT CHANGE_CHECKOUT --out BENCH_<n>.json
 
@@ -170,6 +174,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read the metric directions: {exc}", file=sys.stderr)
         return 1
+    git_dir = {side: os.path.isdir(os.path.join(checkouts[side], ".git"))
+               for side in SIDES}
+    if git_dir["parent"] != git_dir["change"]:
+        print("warning: one checkout has a .git directory and the other not; "
+              "make both sides the same way", file=sys.stderr)
     result = {}
     for workload in sorted(set(runs["parent"]) | set(runs["change"])):
         sides = {side: runs[side].get(workload, []) for side in SIDES}
@@ -178,6 +187,8 @@ def main(argv=None) -> int:
         result[workload]["pairs"] = pair_wins(sides["parent"], sides["change"], metrics)
         result[workload]["gains"] = gains(sides["parent"], sides["change"], metrics)
         result[workload]["verdicts"] = verdicts(sides["parent"], sides["change"], metrics)
+        result[workload]["git_dir"] = git_dir
+        result[workload]["same_checkout_kind"] = git_dir["parent"] == git_dir["change"]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
