@@ -97,14 +97,18 @@ class BoundaryNet:
             )
         return x
 
-    def _front_size(self, width: int) -> int:
-        """Elements of conv2's patch matrix at ``width`` (conv1 and conv2
-        keep the width).  conv1's patches and output, laid end to end, fit
-        in it for every height of 3 or more: 67·h·W against 480·W per
-        pooled row, tightest at h = 7 (469·W against 480·W)."""
+    def _front_sizes(self, width: int):
+        """Elements of conv2's patch matrix and output buffers at ``width``
+        (conv1 and conv2 keep the width).  conv1's patches and output, laid
+        end to end, fit in the patch matrix for every height of 3 or more:
+        67·h·W against 480·W per pooled row, tightest at h = 7 (469·W
+        against 480·W).  The pool's column maxima (W + 2 columns) and output
+        (W columns) end to end take 64·(W + 1) per pooled row, and conv2's
+        output 64·W."""
         pooled = layers.conv_output_size(self.input_height, POOL["kernel"][0],
                                          POOL["stride"][0], POOL["pad"][0], 1)
-        return CONV1["maps"] * math.prod(CONV2["kernel"]) * pooled * width
+        return (CONV1["maps"] * math.prod(CONV2["kernel"]) * pooled * width,
+                2 * CONV1["maps"] * pooled * (width + 1))
 
     def forward_with_cache(self, x, keep_cache=True):
         """Logits and the per-layer caches ``backward`` reads.
@@ -131,9 +135,14 @@ class BoundaryNet:
         # patches when backward will not read them: they lie end to end in
         # conv2's patch buffer, which conv2's im2col then overwrites from
         # its start.  Without caches, each activation's scaled copy goes at
-        # its start too.  conv3 reads conv2's output buffer in place, and
-        # nothing writes that buffer before backward.
-        front = ws.flat("conv2.patches", self._front_size(x.shape[3]))
+        # its start too.  The pool's column maxima and output lie end to end
+        # in conv2's output buffer: neither is cached, and conv2's im2col has
+        # read the output before its GEMM writes there.  conv3 reads conv2's
+        # output buffer in place, and nothing writes that buffer before
+        # backward.
+        patches_size, out_size = self._front_sizes(x.shape[3])
+        front = ws.flat("conv2.patches", patches_size)
+        pool_front = ws.flat("conv2.out", out_size)
         conv1 = ws.buffers("conv1", front,
                            ("out",) if keep_cache else ("patches", "out"))
         h, caches["conv1"] = layers.conv2d_forward(
@@ -141,7 +150,8 @@ class BoundaryNet:
             CONV1["dilation"], buffers=conv1)
         h, caches["pool"] = layers.maxpool2d_forward(
             h, POOL["kernel"], POOL["stride"], POOL["pad"],
-            buffers=ws.buffers("pool"), keep_cache=keep_cache)
+            buffers=ws.buffers("pool", pool_front, ("col_max", "out")),
+            keep_cache=keep_cache)
         h, caches["act1"] = layers.leaky_relu_forward(
             h, LEAKY_SLOPE, inplace=True, keep_cache=keep_cache,
             buffers=ws.buffers("act", front, ("scaled",)))

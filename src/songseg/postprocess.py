@@ -1,18 +1,19 @@
 """From logit curves to boundary predictions.
 
 Peak picking finds runs of equal values in one vectorized pass and keeps
-those above their neighbours and a threshold, then greedily suppresses any
-peak within six seconds of a stronger one, comparing each candidate with
-the nearest accepted peak on either side.  The threshold sweep counts the
-peaks each curve keeps at every threshold with one ``searchsorted``,
-matches each curve once per distinct count, averages the per-track scores
-at every threshold and reports the best-scoring one.  Outputs equal the
-frame-by-frame loop references in ``tests/oracles.py`` bit for bit.
+those above their neighbours and a threshold, then takes them strongest
+first, each kept peak blocking the frames within six seconds of it in a
+per-frame mask.  The threshold sweep splits the grid with one
+``searchsorted`` per curve into segments that keep the same peaks, matches
+each segment once, averages the per-track scores at every threshold and
+reports the best-scoring one.  Outputs equal the frame-by-frame loop
+references in ``tests/oracles.py`` bit for bit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,41 +51,51 @@ def _peak_frames(probs: np.ndarray) -> np.ndarray:
     and a run spanning the whole curve is not a peak.  NaN equals nothing,
     so each NaN is a run of its own that is never a peak nor lower.
     """
-    starts = np.flatnonzero(np.concatenate(([True], probs[1:] != probs[:-1])))
+    new_run = np.empty(probs.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(probs[1:], probs[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
     if starts.size < 2:  # an empty curve or a single run spanning it
         return starts[:0]
     values = probs[starts]
-    left_lower = np.concatenate(([True], values[:-1] < values[1:]))
-    right_lower = np.concatenate((values[1:] < values[:-1], [True]))
-    return starts[left_lower & right_lower]
+    peak = np.empty(starts.size, dtype=bool)
+    peak[0] = True
+    np.less(values[:-1], values[1:], out=peak[1:])  # the left run is lower
+    peak[:-1] &= values[1:] < values[:-1]  # and so is the right one
+    return starts[peak]
 
 
 def pick_peaks(curve: PredictionCurve, threshold: float) -> BoundarySet:
     """Thresholded peak picking with six-second non-maximum suppression.
 
-    Candidates are processed strongest-first (a stable sort, so on ties the
-    earlier frame wins) and accepted only when no already-accepted peak lies
-    within six seconds.  The accepted frames are kept sorted, so a bisection
-    finds the nearest one on each side and only those two are compared:
-    O(C log A) for C candidates and A accepted peaks.  A weaker candidate
-    never displaces a stronger one, so the peaks kept at a higher threshold
-    are exactly those kept at a lower one whose probability reaches it.
-    Accepted frames convert to seconds relative to the padding offset;
-    negative times are dropped.
+    Candidates are taken strongest first (a stable sort, so on ties the
+    earlier frame wins) and kept unless a kept peak lies within six seconds.
+    Frames are integers, so ``|f - a| < gap`` exactly when ``|f - a| <=
+    ceil(gap) - 1``: each kept peak blocks that reach on both sides in a
+    per-frame mask, and each candidate is one lookup in it.  A gap longer
+    than the curve, or NaN, blocks the whole curve (only the strongest peak
+    is kept); a gap of at most one frame blocks no other frame.  A weaker
+    candidate never displaces a stronger one, so the peaks kept at a higher
+    threshold are exactly those kept at a lower one whose probability
+    reaches it.  Kept frames convert to seconds relative to the padding
+    offset; negative times are dropped.
     """
     probs = curve.probs
     candidates = _peak_frames(probs)
     candidates = candidates[probs[candidates] >= threshold]
     candidates = candidates[np.argsort(-probs[candidates], kind="stable")]
+    gap = SUPPRESSION_SECONDS * curve.frame_rate
+    reach = probs.size if not gap <= probs.size else math.ceil(max(gap, 1.0)) - 1
+    # frame f is blocked[f + reach]; a peak kept at f blocks f - reach .. f + reach
+    span = b"\1" * (2 * reach + 1)
+    blocked = bytearray(probs.size + len(span) - 1)
     accepted = []
-    min_gap = SUPPRESSION_SECONDS * curve.frame_rate
     for f in candidates.tolist():
-        i = bisect_left(accepted, f)
-        if ((i == 0 or f - accepted[i - 1] >= min_gap)
-                and (i == len(accepted) or accepted[i] - f >= min_gap)):
-            accepted.insert(i, f)
+        if not blocked[f + reach]:
+            accepted.append(f)
+            blocked[f : f + len(span)] = span
     times = [(f - curve.pad_frames) / curve.frame_rate for f in accepted]
-    return BoundarySet(t for t in times if t >= 0.0)
+    return BoundarySet([t for t in times if t >= 0.0])
 
 
 @dataclass
@@ -104,10 +115,14 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
     :func:`pick_peaks` keeps there; ties on F go to the smallest threshold.
 
     Peaks are picked once per curve at threshold 0; each threshold keeps
-    those whose probability reaches it.  One ``searchsorted`` of the grid
-    into a curve's sorted peak probabilities counts the peaks it keeps at
-    every threshold, and each distinct count is matched once.  Per-track
-    scores are summed in track order and divided, as ``score_corpus``'s mean.
+    those whose probability reaches it.  With the peak probabilities sorted,
+    ``ends = searchsorted(grid, probs, side="right")`` makes grid points
+    ``[0, ends[j])`` keep peak ``j``, so once the peaks from the strongest
+    down to ``j`` are added, the segment ``[ends[j - 1], ends[j])`` (from 0
+    for the weakest) keeps exactly them: each non-empty segment is matched
+    once and its row added to all of it.  A threshold keeping no peak would
+    add zeros.  Rows are summed in track order and divided, as
+    ``score_corpus``'s mean.
     """
     if not pairs:
         raise ValueError("need at least one (curve, reference) pair")
@@ -118,16 +133,17 @@ def sweep_threshold(pairs, tolerance: float = 0.5, beta: float = 1.0):
         # each peak's frame, recovered from its time, gives its probability
         frames = np.rint(peaks.times * curve.frame_rate).astype(int) + curve.pad_frames
         probs = curve.probs[frames]
-        counts = probs.size - np.searchsorted(np.sort(probs), grid, side="left")
-        _, first, which = np.unique(counts, return_index=True, return_inverse=True)
-        refs = ref.times.tolist()
-        table = [prf(match_times(refs, peaks.times[probs >= t].tolist(), tolerance), beta)
-                 for t in grid[first].tolist()]
-        total += np.asarray(table)[which]
+        order = np.argsort(probs)
+        ends = np.searchsorted(grid, probs[order], side="right").tolist()
+        refs, times, kept = ref.times.tolist(), peaks.times[order].tolist(), []
+        for j in reversed(range(len(ends))):
+            insort(kept, times[j])
+            start = ends[j - 1] if j else 0
+            if start < ends[j]:
+                total[start : ends[j]] += prf(match_times(refs, kept, tolerance), beta)
     means = total / len(pairs)
     best = int(np.argmax(means[:, 2]))  # the first maximum
-    return grid[best].item(), [SweepRow(t, *row)
-                               for t, row in zip(grid.tolist(), means.tolist())]
+    return grid[best].item(), list(map(SweepRow, grid.tolist(), *means.T.tolist()))
 
 
 def write_sweep_csv(path, rows) -> None:

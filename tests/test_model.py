@@ -261,14 +261,15 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 58.1 MiB here, 56.1 of it the workspace in 5 buffers; with zero-
-        # padded copies of conv1's and conv2's inputs it was 61.9 MiB, with a
-        # padded copy of the pool's input and conv3's own patch matrix as well
-        # 69.5 MiB, and with a buffer for each of conv1's patches and output
-        # as well 114.4 MiB
-        assert peak < 60 * 2**20
+        # 52.3 MiB here, 50.3 of it the workspace in 3 buffers; with buffers
+        # of their own for the pool's column maxima and output it was 58.1
+        # MiB (56.1 in 5 buffers), with zero-padded copies of conv1's and
+        # conv2's inputs as well 61.9 MiB, with a padded copy of the pool's
+        # input and conv3's own patch matrix as well 69.5 MiB, and with a
+        # buffer for each of conv1's patches and output as well 114.4 MiB
+        assert peak < 54 * 2**20
         buffers = net.workspace._flat.values()
-        assert len(buffers) == 5 and sum(b.nbytes for b in buffers) <= 57 * 2**20
+        assert len(buffers) == 3 and sum(b.nbytes for b in buffers) <= 51 * 2**20
 
     def test_fresh_training_step_peak(self, rng):
         net = BoundaryNet(input_height=80, seed=5)
@@ -280,12 +281,13 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 71.7 MiB here; with the pool's backward building its winners'
-        # indices from taps it was 74.8 MiB, with zero-padded copies of
-        # conv1's and conv2's inputs as well 78.4 MiB, with a padded copy of
-        # the pool's input and conv3's own patch matrix as well 82.3 MiB, and
-        # with a buffer of its own for conv1's output as well 96.2 MiB
-        assert peak < 74 * 2**20
+        # 68.8 MiB here; with buffers of their own for the pool's column
+        # maxima and output it was 71.7 MiB, with the pool's backward building
+        # its winners' indices from taps as well 74.8 MiB, with zero-padded
+        # copies of conv1's and conv2's inputs as well 78.4 MiB, with a padded
+        # copy of the pool's input and conv3's own patch matrix as well 82.3
+        # MiB, and with a buffer of its own for conv1's output as well 96.2 MiB
+        assert peak < 70 * 2**20
 
     def test_conv3_reads_its_input_in_place(self, rng):
         net = BoundaryNet(input_height=80, seed=5)

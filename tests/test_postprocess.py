@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from songseg.postprocess import (SUPPRESSION_SECONDS, SWEEP_STEP, PredictionCurv
                                  SweepRow, _peak_frames, from_logits, pick_peaks,
                                  read_sweep_csv, sweep_threshold, write_sweep_csv)
 
-from oracles import peak_frames_loop, pick_peaks_loop, sweep_threshold_loop
+from oracles import (accepted_frames_loop, peak_frames_loop, pick_peaks_loop,
+                     sweep_threshold_loop)
 
 FRAME_RATE = 44100 / (1024 * 6)
 GAMMA = 50
@@ -301,6 +304,51 @@ class TestAgainstLoopOracles:
         curve = _curve(probs, frame_rate=1.3, pad=0)
         assert pick_peaks(curve, 0.0).times.tolist() == [f / 1.3 for f in kept]
         _assert_matches_loops(curve)
+
+    # Gaps in frames: below one, exactly 7 and 15, just above an integer,
+    # longer than the 40-frame curve, and unbounded.  A weaker (or equal)
+    # candidate sits ``reach = ceil(gap) - 1`` and ``reach + 1`` frames from
+    # the stronger one, and at the far end of the curve, on either side.
+    @pytest.mark.parametrize("frame_rate", [0.5 / 6, 7 / 6, 2.5, 7.000001 / 6,
+                                            2.0000001 / 6, 100 / 6, np.inf])
+    @pytest.mark.parametrize("strong", [0, 1, 20, 38, 39])
+    @pytest.mark.parametrize("weak_height", [0.5, 0.9])
+    def test_suppression_reach(self, frame_rate, strong, weak_height):
+        n, gap = 40, SUPPRESSION_SECONDS * frame_rate
+        reach = math.ceil(gap) - 1 if gap < n else n
+        checked = 0
+        for weak in {strong - reach, strong - reach - 1, strong + reach,
+                     strong + reach + 1, 0, n - 1}:
+            if not 0 <= weak < n or abs(weak - strong) < 2:
+                continue  # neighbouring frames are never both peaks
+            probs = np.zeros(n)
+            probs[strong], probs[weak] = 0.9, weak_height
+            # on equal heights the earlier frame is the stronger candidate
+            first = strong if weak_height < 0.9 else min(strong, weak)
+            want = sorted({weak, strong}) if abs(weak - strong) >= gap else [first]
+            assert sorted(accepted_frames_loop(probs, frame_rate, 0.0)) == want
+            curve = _curve(probs, frame_rate=frame_rate, pad=0)
+            assert pick_peaks(curve, 0.0) == BoundarySet(f / frame_rate for f in want)
+            checked += 1
+        assert checked >= 1
+
+    @pytest.mark.parametrize("heights", [
+        [[0.0, 0.005, 0.205, 41 * SWEEP_STEP, 1.0]],          # on grid points
+        [[0.005, 0.5, 0.005, 1.0, 1.0], [0.005, 0.205, 0.205, 1.0]],  # repeated
+        [[0.205, 1.0, 0.0], []],                              # a curve with no peak
+        [[], []],
+    ])
+    @pytest.mark.parametrize("refs", [[], [3.8, 19.0, 30.0]])
+    def test_sweep_peaks_on_grid_points(self, heights, refs):
+        # peaks 10 frames apart, beyond the 7.8-frame gap, over a floor of
+        # -1 so that a peak of probability 0 is one too
+        pairs = []
+        for curve_heights in heights:
+            probs = np.full(10 * len(curve_heights) + 10, -1.0)
+            probs[5 : 5 + 10 * len(curve_heights) : 10] = curve_heights
+            pairs.append((_curve(probs, frame_rate=1.3, pad=0), BoundarySet(refs)))
+        for tolerance in (0.5, 3.0):
+            _assert_sweep_matches_loop(pairs, tolerance)
 
     @pytest.mark.parametrize("pad", [40, 41, 200])
     def test_pad_beyond_curve_end(self, pad):
